@@ -14,7 +14,7 @@ from .errors import SvgRankUnsupported
 from .affine import crossing_sets
 from .galleries import Gallery, format_gallery, path_vertices
 from .graphs import CrystalGraph, Decomposition
-from .mv import MVLabel, SurjectivityReport
+from .mv import MVLabel
 
 
 def to_json(document) -> str:
@@ -80,19 +80,6 @@ def crossings_document(gallery: Gallery) -> list:
         }
         for k, segment in enumerate(crossing_sets(gallery))
     ]
-
-
-def surjectivity_document(report: SurjectivityReport) -> dict:
-    return {
-        "ok": report.ok,
-        "rank": report.rank,
-        "shape": list(report.shape),
-        "labels_checked": report.labels_checked,
-        "misses": [
-            {"lambda": list(lam.coeffs), "tableau": format_gallery(tab)}
-            for lam, tab in report.misses
-        ],
-    }
 
 
 def path_document(gallery: Gallery) -> dict:

@@ -23,6 +23,10 @@ class LetterOutOfRange(GalleryError):
     code = "letter-out-of-range"
 
 
+class LetterNotInteger(GalleryError):
+    code = "letter-not-integer"
+
+
 class ColumnTooLong(GalleryError):
     code = "column-too-long"
 

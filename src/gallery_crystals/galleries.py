@@ -15,14 +15,13 @@ the chosen lift, which is fixed here to start at the origin.
 from __future__ import annotations
 
 import re
-from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
 
 from .errors import (
     ColumnTooLong,
     IndexOutOfRange,
     InvalidRank,
+    LetterNotInteger,
     LetterOutOfRange,
     NonIncreasingColumn,
     NotDominant,
@@ -43,7 +42,8 @@ class Gallery:
     Columns of length ``rank`` are tolerated by the constructor because they
     occur transiently as plactic insertion output; proper galleries have
     columns of length at most ``rank - 1``, which `validate_gallery` (and all
-    parsing) enforces.
+    parsing) enforces.  Letters must be of type ``int``: the constructor
+    rejects floats, strings and bools instead of converting them.
     """
 
     rank: int
@@ -52,7 +52,7 @@ class Gallery:
     def __post_init__(self) -> None:
         if not isinstance(self.rank, int) or self.rank < 2:
             raise InvalidRank(f"rank must be an integer >= 2, got {self.rank!r}")
-        cols = tuple(tuple(int(a) for a in col) for col in self.columns)
+        cols = tuple(tuple(col) for col in self.columns)
         object.__setattr__(self, "columns", cols)
         for col in cols:
             if not col:
@@ -60,6 +60,8 @@ class Gallery:
             if len(col) > self.rank:
                 raise ColumnTooLong(f"column {col} longer than rank {self.rank}")
             for a in col:
+                if type(a) is not int:
+                    raise LetterNotInteger(f"letter {a!r} is not an int")
                 if not 1 <= a <= self.rank:
                     raise LetterOutOfRange(f"letter {a} not in 1..{self.rank}")
             if any(x >= y for x, y in zip(col, col[1:])):
@@ -107,7 +109,7 @@ def word(gallery: Gallery) -> Word:
 
 def gallery_from_word(letters, rank: int) -> Gallery:
     """The gallery of shape (1,...,1) whose word is the given letter sequence."""
-    return Gallery(rank, tuple((int(a),) for a in letters))
+    return Gallery(rank, tuple((a,) for a in letters))
 
 
 def concat(outer: Gallery, inner: Gallery) -> Gallery:
@@ -123,8 +125,11 @@ def concat(outer: Gallery, inner: Gallery) -> Gallery:
 
 def weight(gallery: Gallery) -> "WeightVector":
     """Letter multiplicities of the gallery, as a canonical weight vector."""
-    tallies = Counter(chain.from_iterable(gallery.columns))
-    return WeightVector(tuple(tallies.get(a, 0) for a in range(1, gallery.rank + 1)))
+    tallies = [0] * (gallery.rank + 1)
+    for col in gallery.columns:
+        for a in col:
+            tallies[a] += 1
+    return WeightVector._unsafe(tuple(tallies[1:]))
 
 
 def path_vertices(gallery: Gallery) -> tuple[LatticePoint, ...]:
@@ -171,6 +176,16 @@ class WeightVector:
         if low:
             counts = tuple(c - low for c in counts)
         object.__setattr__(self, "counts", counts)
+
+    @classmethod
+    def _unsafe(cls, counts: tuple[int, ...]) -> "WeightVector":
+        # Fast path for internal construction from a tuple of at least two ints.
+        low = min(counts)
+        if low:
+            counts = tuple(c - low for c in counts)
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "counts", counts)
+        return obj
 
     @property
     def rank(self) -> int:
@@ -269,10 +284,6 @@ class DominantWeight:
         counts.reverse()
         counts.append(0)
         return WeightVector(tuple(counts))
-
-    @classmethod
-    def from_weight_vector(cls, mu: WeightVector) -> "DominantWeight":
-        return mu.to_dominant_weight()
 
     def column_shape(self) -> Shape:
         """Reading-order shape with m_i columns of length i, weakly increasing."""

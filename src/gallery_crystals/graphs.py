@@ -5,6 +5,12 @@ whenever v = f_i(u).  Connected components are closed under every e_i and
 f_i; each component has a unique source vertex (all e_i inapplicable), which
 is dominant, and the component is determined up to isomorphism by that
 vertex's weight.
+
+`connected_component` closes an arbitrary gallery under both operators.
+`highest_weight_crystal` starts from the known source of B(lambda), so it
+needs only the f_i.  `enumerate_ssyt` lists the same vertex set without any
+crystal operator, row by row as Gelfand-Tsetlin patterns, and serves as the
+independent check on the crystal side.
 """
 
 from __future__ import annotations
@@ -111,8 +117,27 @@ def canonical_dominant_gallery(lam: DominantWeight) -> Gallery:
 
 
 def highest_weight_crystal(lam: DominantWeight) -> CrystalGraph:
-    """The connected crystal B(lambda), generated from its dominant tableau."""
-    return connected_component(canonical_dominant_gallery(lam))
+    """The connected crystal B(lambda), generated by f_i alone from its source.
+
+    The dominant tableau of shape underline(lambda) is the component's unique
+    source, so every vertex is reached from it by f-moves, and a
+    breadth-first search records each edge once, as (v, f_i(v), i).  The
+    result equals `connected_component` of that tableau.
+    """
+    source = canonical_dominant_gallery(lam)
+    n = source.rank
+    seen = {source}
+    order = [source]
+    edges = []
+    for v in order:  # grows while iterated: breadth-first
+        for i in range(1, n):
+            w = f(v, i)
+            if w is not None:
+                edges.append((v, w, i))
+                if w not in seen:
+                    seen.add(w)
+                    order.append(w)
+    return CrystalGraph(n, frozenset(seen), frozenset(edges))
 
 
 def _source_vertex(graph: CrystalGraph) -> Gallery:
@@ -256,71 +281,68 @@ def decompose(shape: Shape, rank: int) -> Decomposition:
     return Decomposition(rank=rank, shape=shape, entries=entries, total=total)
 
 
+def _row_fillings(
+    rank: int, lengths: list[int], t: int, above: tuple[int, ...]
+) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Fillings of display row t below a row with prefix counts ``above``.
+
+    Returns (prefix counts P(0..rank), entries in reading order) pairs,
+    lexicographic in the row's display entries: P(v) counts the entries
+    <= v and is tried from its largest value down, letter by letter.
+    """
+    length = lengths[t]
+    partial: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((0,), ())]
+    for v in range(1, rank):
+        cap = min(length, above[v - 1])
+        floor = lengths[t + rank - v]
+        partial = [
+            (prefix + (q,), (v,) * (q - prefix[-1]) + row)
+            for prefix, row in partial
+            for q in range(cap, max(prefix[-1], floor) - 1, -1)
+        ]
+    return [
+        (prefix + (length,), (rank,) * (length - prefix[-1]) + row)
+        for prefix, row in partial
+    ]
+
+
 def enumerate_ssyt(shape: Shape, rank: int) -> list[Gallery]:
     """All semistandard Young tableaux of the reading-order shape.
 
-    Direct row-by-row backtracking over cell fillings (weakly increasing
-    rows, strictly increasing columns); independent of the crystal operators
-    so it can serve as a counting oracle against them.  Iterative so that
-    long one-row shapes do not hit recursion limits.
+    The tableaux are Gelfand-Tsetlin patterns (Stanley, EC2 7.10): display
+    row t is given by its prefix counts P_t(v), the number of entries <= v.
+    Strict columns mean P_t(v) <= P_{t-1}(v-1).  A column of height d can
+    still be completed below row t only if its row-t entry is at most
+    rank - (d - 1 - t), which bounds P_t(v) from below by the length of row
+    t + rank - v.  Under these bounds every partial pattern completes, so
+    the rows are listed without backtracking.  Each row is built from its
+    runs of equal letters, and the columns of height t + 1 are sliced out of
+    rows 0..t with ``zip`` as soon as row t is chosen.
+
+    The order is lexicographic on the row-major entries.  The crystal
+    operators are not used, so the result can check `highest_weight_crystal`.
+    A non-monotone shape has no tableaux.
     """
     shape = validate_shape(shape, rank)
     if any(a > b for a, b in zip(shape, shape[1:])):
         return []
-    display_lengths = tuple(reversed(shape))
-    width = len(display_lengths)
-    if width == 0:
-        return [Gallery._unsafe(rank, ())]
-    depth = display_lengths[0]
-    row_lengths = [sum(1 for d in display_lengths if d > t) for t in range(depth)]
-
-    # Row-major linearization; every cell's left and upper neighbors exist
-    # whenever j > 0 / t > 0 because row lengths weakly decrease downwards.
-    offsets = [0]
-    for length in row_lengths[:-1]:
-        offsets.append(offsets[-1] + length)
-    total = offsets[-1] + row_lengths[-1]
-    left = [-1] * total
-    up = [-1] * total
-    for t, length in enumerate(row_lengths):
-        base = offsets[t]
-        for j in range(length):
-            if j > 0:
-                left[base + j] = base + j - 1
-            if t > 0:
-                up[base + j] = offsets[t - 1] + j
-    column_cells = tuple(
-        tuple(offsets[t] + j for t in range(display_lengths[j]))
-        for j in range(width - 1, -1, -1)  # reading order
-    )
-
-    out: list[Gallery] = []
-    values = [0] * total
-    last = total - 1
-    k = 0
-    values[0] = 0  # first cell starts probing at 1
-    while True:
-        value = values[k] + 1
-        if value > rank:
-            k -= 1
-            if k < 0:
-                return out
-            continue
-        values[k] = value
-        if k == last:
-            out.append(
-                Gallery._unsafe(
-                    rank,
-                    tuple(tuple(values[ix] for ix in cell) for cell in column_cells),
-                )
-            )
-            continue
-        k += 1
-        low = 1
-        neighbor = left[k]
-        if neighbor >= 0 and values[neighbor] > low:
-            low = values[neighbor]
-        neighbor = up[k]
-        if neighbor >= 0 and values[neighbor] >= low:
-            low = values[neighbor] + 1
-        values[k] = low - 1
+    heights = shape[::-1]  # display order, weakly decreasing
+    depth = heights[0] if heights else 0
+    # lengths[t] is the length of display row t; zero below the last row.
+    lengths = [sum(1 for d in heights if d > t) for t in range(depth + rank)]
+    # Partial tableaux as (prefix counts of the last row, its rows so far,
+    # reading-order columns of the finished bands).  Rows are stored in
+    # reading order, so row s covers the last lengths[s] reading positions.
+    # Row 0 has no row above; its caps are its own length.
+    partial = [((lengths[0],) * (rank + 1), (), ())]
+    for t in range(depth):
+        band = [(lengths[s] - lengths[t], lengths[s] - lengths[t + 1]) for s in range(t + 1)]
+        grown = []
+        for above, rows, columns in partial:
+            for prefix, row in _row_fillings(rank, lengths, t, above):
+                block = rows + (row,)
+                grown.append((prefix, block, columns + tuple(
+                    zip(*[r[a:b] for r, (a, b) in zip(block, band)])
+                )))
+        partial = grown
+    return [Gallery._unsafe(rank, columns) for _, _, columns in partial]

@@ -5,12 +5,15 @@ from __future__ import annotations
 import random
 
 from gallery_crystals import (
+    DominantWeight,
     Gallery,
     e,
     f,
     galleries_of_shape,
     parse_gallery,
+    weyl_dimension,
 )
+from gallery_crystals.galleries import Shape, validate_shape
 from gallery_crystals.operators import Tag
 
 
@@ -38,6 +41,26 @@ def gallery_universe(rank: int, total_boxes: int):
     """Every gallery of every shape with at most total_boxes boxes."""
     for shape in shapes_up_to(total_boxes, rank - 1):
         yield from galleries_of_shape(shape, rank)
+
+
+def weights_with_dimension_at_most(rank: int, bound: int) -> list[DominantWeight]:
+    """Every dominant weight of the rank whose Weyl dimension is at most bound."""
+    out = []
+
+    def extend(prefix):
+        if len(prefix) == rank - 1:
+            out.append(DominantWeight(prefix))
+            return
+        m = 0
+        while True:
+            padded = prefix + (m,) + (0,) * (rank - 2 - len(prefix))
+            if weyl_dimension(DominantWeight(padded)) > bound:
+                break
+            extend(prefix + (m,))
+            m += 1
+
+    extend(())
+    return out
 
 
 def naive_epsilon(gallery: Gallery, i: int) -> int:
@@ -76,3 +99,73 @@ def randomized_reduction(tags, rng: random.Random):
             return items
         k = rng.choice(pairs)
         del items[k : k + 2]
+
+
+def cellwise_ssyt(shape: Shape, rank: int) -> list[Gallery]:
+    """Reference for `enumerate_ssyt`: every semistandard tableau of the shape.
+
+    Direct row-by-row backtracking over cell fillings (weakly increasing
+    rows, strictly increasing columns); independent of the crystal operators
+    so it can serve as a counting oracle against them.  Iterative so that
+    long one-row shapes do not hit recursion limits.
+    """
+    shape = validate_shape(shape, rank)
+    if any(a > b for a, b in zip(shape, shape[1:])):
+        return []
+    display_lengths = tuple(reversed(shape))
+    width = len(display_lengths)
+    if width == 0:
+        return [Gallery._unsafe(rank, ())]
+    depth = display_lengths[0]
+    row_lengths = [sum(1 for d in display_lengths if d > t) for t in range(depth)]
+
+    # Row-major linearization; every cell's left and upper neighbors exist
+    # whenever j > 0 / t > 0 because row lengths weakly decrease downwards.
+    offsets = [0]
+    for length in row_lengths[:-1]:
+        offsets.append(offsets[-1] + length)
+    total = offsets[-1] + row_lengths[-1]
+    left = [-1] * total
+    up = [-1] * total
+    for t, length in enumerate(row_lengths):
+        base = offsets[t]
+        for j in range(length):
+            if j > 0:
+                left[base + j] = base + j - 1
+            if t > 0:
+                up[base + j] = offsets[t - 1] + j
+    column_cells = tuple(
+        tuple(offsets[t] + j for t in range(display_lengths[j]))
+        for j in range(width - 1, -1, -1)  # reading order
+    )
+
+    out: list[Gallery] = []
+    values = [0] * total
+    last = total - 1
+    k = 0
+    values[0] = 0  # first cell starts probing at 1
+    while True:
+        value = values[k] + 1
+        if value > rank:
+            k -= 1
+            if k < 0:
+                return out
+            continue
+        values[k] = value
+        if k == last:
+            out.append(
+                Gallery._unsafe(
+                    rank,
+                    tuple(tuple(values[ix] for ix in cell) for cell in column_cells),
+                )
+            )
+            continue
+        k += 1
+        low = 1
+        neighbor = left[k]
+        if neighbor >= 0 and values[neighbor] > low:
+            low = values[neighbor]
+        neighbor = up[k]
+        if neighbor >= 0 and values[neighbor] >= low:
+            low = values[neighbor] + 1
+        values[k] = low - 1

@@ -13,7 +13,6 @@ from collections import Counter
 
 from gallery_crystals import (
     AffineRoot,
-    DominantWeight,
     splice_disjointness,
     connected_component,
     count_galleries,
@@ -45,7 +44,7 @@ from gallery_crystals import (
     word,
 )
 from gallery_crystals.cli import run as cli_run
-from _support import G, shapes_up_to
+from _support import G, shapes_up_to, weights_with_dimension_at_most
 
 
 def criterion(number: int, description: str, budget_seconds: float, body) -> None:
@@ -227,29 +226,10 @@ def test_criterion_7_oracle_equivalence():
     criterion(7, "oracle classes match normal forms, words <= 5, ranks 2..3", 120.0, body)
 
 
-def _weights_with_dimension_at_most(rank: int, bound: int):
-    out = []
-
-    def extend(prefix):
-        if len(prefix) == rank - 1:
-            out.append(DominantWeight(prefix))
-            return
-        m = 0
-        while True:
-            padded = prefix + (m,) + (0,) * (rank - 2 - len(prefix))
-            if weyl_dimension(DominantWeight(padded)) > bound:
-                break
-            extend(prefix + (m,))
-            m += 1
-
-    extend(())
-    return out
-
-
 def test_criterion_8_dimensions_and_multiplicities():
     def body():
         for rank in (2, 3, 4):
-            lams = _weights_with_dimension_at_most(rank, 500)
+            lams = weights_with_dimension_at_most(rank, 500)
             assert lams
             for lam in lams:
                 crystal = highest_weight_crystal(lam)

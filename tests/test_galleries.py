@@ -1,5 +1,8 @@
 """Core gallery operations: validation, words, weights, paths, dominance."""
 
+from collections import Counter
+from itertools import chain
+
 import pytest
 
 from gallery_crystals import (
@@ -7,6 +10,7 @@ from gallery_crystals import (
     DominantWeight,
     Gallery,
     IndexOutOfRange,
+    LetterNotInteger,
     LetterOutOfRange,
     NonIncreasingColumn,
     NotDominant,
@@ -28,7 +32,8 @@ from gallery_crystals import (
     weight,
     word,
 )
-from _support import G
+from gallery_crystals.plactic import rsk_insert
+from _support import G, gallery_universe
 
 
 class TestValidateGallery:
@@ -52,6 +57,13 @@ class TestValidateGallery:
             parse_gallery("4", 3)
         with pytest.raises(LetterOutOfRange):
             validate_gallery(3, ((0,),))
+
+    @pytest.mark.parametrize("letter", [1.9, "2", True])
+    def test_non_integer_letter_rejected(self, letter):
+        with pytest.raises(LetterNotInteger):
+            Gallery(3, ((letter,),))
+        with pytest.raises(LetterNotInteger):
+            gallery_from_word((1, letter), 3)
 
     def test_parse_garbage(self):
         with pytest.raises(ParseError):
@@ -124,6 +136,24 @@ class TestWeight:
 
     def test_empty(self):
         assert weight(empty_gallery(4)).counts == (0, 0, 0, 0)
+
+    def test_matches_counter_reference(self):
+        def reference(gallery):
+            tallies = Counter(chain.from_iterable(gallery.columns))
+            return WeightVector(tuple(tallies.get(a, 0) for a in range(1, gallery.rank + 1)))
+
+        galleries = [empty_gallery(2), empty_gallery(5)]
+        for rank in range(2, 6):
+            galleries += gallery_universe(rank, 5)
+            # Insertion output keeps full 1..n columns until they are stripped.
+            for letters in [range(1, rank + 1), (2, 1) + tuple(range(1, rank + 1))]:
+                tableau = rsk_insert(letters, rank)
+                assert tuple(range(1, rank + 1)) in tableau.columns
+                galleries.append(tableau)
+        for g in galleries:
+            mu, expected = weight(g), reference(g)
+            assert mu == expected and hash(mu) == hash(expected), g
+            assert min(mu.counts) == 0
 
     def test_concat_additive(self):
         a = G("1,2|1", 3)

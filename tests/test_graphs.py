@@ -25,7 +25,7 @@ from gallery_crystals import (
     word,
 )
 from gallery_crystals.graphs import CrystalGraph
-from _support import G
+from _support import G, cellwise_ssyt, shapes_up_to, weights_with_dimension_at_most
 
 # The 8-vertex component of the dominant tableau "1,2|1" (rank 3), edges
 # derived by hand from the tagging rules; it mirrors the standard two-ladder
@@ -145,6 +145,13 @@ class TestHighestWeightCrystal:
             crystal = highest_weight_crystal(DominantWeight(coeffs))
             assert all(is_ssyt(v) for v in crystal.vertices)
 
+    def test_equals_closure_of_source(self):
+        # f-moves from the source reach the whole component and every edge.
+        for rank in range(2, 6):
+            for lam in weights_with_dimension_at_most(rank, 200):
+                source = canonical_dominant_gallery(lam)
+                assert highest_weight_crystal(lam) == connected_component(source)
+
 
 class TestIsIsomorphic:
     def test_shape_versus_word_reading(self):
@@ -252,6 +259,18 @@ class TestEnumerateSsyt:
 
     def test_non_monotone_shape(self):
         assert enumerate_ssyt((2, 1), 3) == []
+
+    def test_matches_cellwise_oracle_in_order(self):
+        cases = [((), 3), ((2, 1), 3), ((1, 3, 2), 4)]
+        for rank in range(2, 6):
+            cases += [
+                (shape, rank)
+                for shape in shapes_up_to(6, rank - 1)
+                if all(a <= b for a, b in zip(shape, shape[1:]))
+            ]
+        cases += [((1,) * m, 2) for m in range(61)]
+        for shape, rank in cases:
+            assert enumerate_ssyt(shape, rank) == cellwise_ssyt(shape, rank), (shape, rank)
 
     def test_matches_crystal_weights(self):
         from collections import Counter
