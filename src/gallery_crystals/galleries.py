@@ -35,6 +35,13 @@ Shape = tuple[int, ...]
 LatticePoint = tuple[int, ...]
 
 
+def _plain_letter(a) -> int:
+    """The letter as a plain int; anything but an int, or a bool, is rejected."""
+    if not isinstance(a, int) or isinstance(a, bool):
+        raise LetterNotInteger(f"letter {a!r} is not an int")
+    return int(a)
+
+
 @dataclass(frozen=True)
 class Gallery:
     """A filling of a column arrangement, columns in reading order.
@@ -42,8 +49,9 @@ class Gallery:
     Columns of length ``rank`` are tolerated by the constructor because they
     occur transiently as plactic insertion output; proper galleries have
     columns of length at most ``rank - 1``, which `validate_gallery` (and all
-    parsing) enforces.  Letters must be of type ``int``: the constructor
-    rejects floats, strings and bools instead of converting them.
+    parsing) enforces.  Letters must be ints: the constructor rejects floats,
+    strings and bools instead of converting them, and stores members of other
+    int subclasses as plain ints.
     """
 
     rank: int
@@ -53,6 +61,8 @@ class Gallery:
         if not isinstance(self.rank, int) or self.rank < 2:
             raise InvalidRank(f"rank must be an integer >= 2, got {self.rank!r}")
         cols = tuple(tuple(col) for col in self.columns)
+        if any(type(a) is not int for col in cols for a in col):
+            cols = tuple(tuple(_plain_letter(a) for a in col) for col in cols)
         object.__setattr__(self, "columns", cols)
         for col in cols:
             if not col:
@@ -60,8 +70,6 @@ class Gallery:
             if len(col) > self.rank:
                 raise ColumnTooLong(f"column {col} longer than rank {self.rank}")
             for a in col:
-                if type(a) is not int:
-                    raise LetterNotInteger(f"letter {a!r} is not an int")
                 if not 1 <= a <= self.rank:
                     raise LetterOutOfRange(f"letter {a} not in 1..{self.rank}")
             if any(x >= y for x, y in zip(col, col[1:])):
@@ -162,6 +170,12 @@ def is_dominant(gallery: Gallery) -> bool:
     return True
 
 
+def _shift_to_zero(counts: tuple[int, ...]) -> tuple[int, ...]:
+    """The canonical representative modulo the all-ones vector: minimum 0."""
+    low = min(counts)
+    return tuple(c - low for c in counts) if low else counts
+
+
 @dataclass(frozen=True)
 class WeightVector:
     """Element of Z^n modulo the all-ones vector, stored with min coordinate 0."""
@@ -172,19 +186,13 @@ class WeightVector:
         counts = tuple(int(c) for c in self.counts)
         if len(counts) < 2:
             raise InvalidRank("weight vectors need at least 2 coordinates")
-        low = min(counts)
-        if low:
-            counts = tuple(c - low for c in counts)
-        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "counts", _shift_to_zero(counts))
 
     @classmethod
     def _unsafe(cls, counts: tuple[int, ...]) -> "WeightVector":
         # Fast path for internal construction from a tuple of at least two ints.
-        low = min(counts)
-        if low:
-            counts = tuple(c - low for c in counts)
         obj = object.__new__(cls)
-        object.__setattr__(obj, "counts", counts)
+        object.__setattr__(obj, "counts", _shift_to_zero(counts))
         return obj
 
     @property

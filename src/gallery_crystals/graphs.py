@@ -6,11 +6,11 @@ f_i; each component has a unique source vertex (all e_i inapplicable), which
 is dominant, and the component is determined up to isomorphism by that
 vertex's weight.
 
-`connected_component` closes an arbitrary gallery under both operators.
-`highest_weight_crystal` starts from the known source of B(lambda), so it
-needs only the f_i.  `enumerate_ssyt` lists the same vertex set without any
-crystal operator, row by row as Gelfand-Tsetlin patterns, and serves as the
-independent check on the crystal side.
+`connected_component` raises a gallery to that source and generates the
+component from it with the f_i alone; `highest_weight_crystal` is the
+component of the dominant tableau.  `enumerate_ssyt` lists the vertex set of
+B(lambda) without any crystal operator, row by row as Gelfand-Tsetlin
+patterns, and serves as the independent check on the crystal side.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .galleries import (
     validate_shape,
     weight,
 )
-from .operators import e, f, lower_and_raise
+from .operators import e, f
 
 
 @dataclass(frozen=True)
@@ -68,29 +68,6 @@ class CrystalGraph:
         return len(seen) == len(self.vertices)
 
 
-def connected_component(gallery: Gallery) -> CrystalGraph:
-    """Closure of the gallery under all e_i and f_i."""
-    n = gallery.rank
-    seen = {gallery}
-    queue = deque([gallery])
-    edges: set[tuple[Gallery, Gallery, int]] = set()
-    while queue:
-        v = queue.popleft()
-        for i in range(1, n):
-            w, u = lower_and_raise(v, i)
-            if w is not None:
-                edges.add((v, w, i))
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-            if u is not None:
-                edges.add((u, v, i))
-                if u not in seen:
-                    seen.add(u)
-                    queue.append(u)
-    return CrystalGraph(n, frozenset(seen), frozenset(edges))
-
-
 def highest_weight_vertex(gallery: Gallery) -> Gallery:
     """Apply raising operators until none applies; smallest index first.
 
@@ -116,15 +93,14 @@ def canonical_dominant_gallery(lam: DominantWeight) -> Gallery:
     return Gallery(lam.rank, columns)
 
 
-def highest_weight_crystal(lam: DominantWeight) -> CrystalGraph:
-    """The connected crystal B(lambda), generated by f_i alone from its source.
+def connected_component(gallery: Gallery) -> CrystalGraph:
+    """The component of the gallery, generated by f_i alone from its source.
 
-    The dominant tableau of shape underline(lambda) is the component's unique
-    source, so every vertex is reached from it by f-moves, and a
-    breadth-first search records each edge once, as (v, f_i(v), i).  The
-    result equals `connected_component` of that tableau.
+    Every vertex of the component is reached from its unique source by
+    f-moves, so a breadth-first search from `highest_weight_vertex` records
+    each edge once, as (v, f_i(v), i).
     """
-    source = canonical_dominant_gallery(lam)
+    source = highest_weight_vertex(gallery)
     n = source.rank
     seen = {source}
     order = [source]
@@ -138,6 +114,11 @@ def highest_weight_crystal(lam: DominantWeight) -> CrystalGraph:
                     seen.add(w)
                     order.append(w)
     return CrystalGraph(n, frozenset(seen), frozenset(edges))
+
+
+def highest_weight_crystal(lam: DominantWeight) -> CrystalGraph:
+    """The connected crystal B(lambda): the component of its dominant tableau."""
+    return connected_component(canonical_dominant_gallery(lam))
 
 
 def _source_vertex(graph: CrystalGraph) -> Gallery:
@@ -262,10 +243,10 @@ def decompose(shape: Shape, rank: int) -> Decomposition:
         total += 1
         if gallery in seen:
             continue
-        component = connected_component(gallery)
+        top = highest_weight_vertex(gallery)
+        component = connected_component(top)
         seen |= component.vertices
         covered += len(component)
-        top = highest_weight_vertex(gallery)
         lam = weight(top).to_dominant_weight()
         reps.setdefault(lam, []).append(top)
     if covered != total:

@@ -114,14 +114,11 @@ def _survivors(gallery: Gallery, i: int) -> tuple[list[int], list[int]]:
 
 def _replace_entry(gallery: Gallery, reading_index: int, old: int, new: int) -> Gallery:
     col = gallery.columns[reading_index]
-    # In a strictly increasing column, moving a letter to an adjacent value
-    # keeps strict increase unless that value is already present.
-    if new in col:
+    new_col = tuple(new if a == old else a for a in col)
+    if any(x >= y for x, y in zip(new_col, new_col[1:])):
         raise BrokenColumn(
             f"replacing {old} by {new} in column {col} broke strict increase"
         )
-    k = col.index(old)
-    new_col = col[:k] + (new,) + col[k + 1 :]
     columns = (
         gallery.columns[:reading_index] + (new_col,) + gallery.columns[reading_index + 1 :]
     )

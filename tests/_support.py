@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import deque
 
 from gallery_crystals import (
     DominantWeight,
@@ -61,6 +62,31 @@ def weights_with_dimension_at_most(rank: int, bound: int) -> list[DominantWeight
 
     extend(())
     return out
+
+
+def two_sided_closure(gallery: Gallery) -> tuple[frozenset, frozenset]:
+    """Vertices and edges reached from the gallery by any e_i and f_i.
+
+    Breadth-first search in both directions, recording each edge (u, f_i(u), i)
+    from whichever end finds it; it assumes nothing about sources.
+    """
+    n = gallery.rank
+    seen = {gallery}
+    queue = deque([gallery])
+    edges = set()
+    while queue:
+        v = queue.popleft()
+        for i in range(1, n):
+            lowered, raised = f(v, i), e(v, i)
+            if lowered is not None:
+                edges.add((v, lowered, i))
+            if raised is not None:
+                edges.add((raised, v, i))
+            for w in (lowered, raised):
+                if w is not None and w not in seen:
+                    seen.add(w)
+                    queue.append(w)
+    return frozenset(seen), frozenset(edges)
 
 
 def naive_epsilon(gallery: Gallery, i: int) -> int:

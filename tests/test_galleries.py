@@ -1,6 +1,7 @@
 """Core gallery operations: validation, words, weights, paths, dominance."""
 
 from collections import Counter
+from enum import IntEnum
 from itertools import chain
 
 import pytest
@@ -64,6 +65,14 @@ class TestValidateGallery:
             Gallery(3, ((letter,),))
         with pytest.raises(LetterNotInteger):
             gallery_from_word((1, letter), 3)
+
+    def test_int_subclass_letter_stored_as_int(self):
+        class Letter(IntEnum):
+            TWO = 2
+
+        g = Gallery(3, ((1, Letter.TWO),))
+        assert g == Gallery(3, ((1, 2),))
+        assert all(type(a) is int for a in g.columns[0])
 
     def test_parse_garbage(self):
         with pytest.raises(ParseError):

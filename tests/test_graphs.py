@@ -25,7 +25,14 @@ from gallery_crystals import (
     word,
 )
 from gallery_crystals.graphs import CrystalGraph
-from _support import G, cellwise_ssyt, shapes_up_to, weights_with_dimension_at_most
+from _support import (
+    G,
+    cellwise_ssyt,
+    gallery_universe,
+    shapes_up_to,
+    two_sided_closure,
+    weights_with_dimension_at_most,
+)
 
 # The 8-vertex component of the dominant tableau "1,2|1" (rank 3), edges
 # derived by hand from the tagging rules; it mirrors the standard two-ladder
@@ -77,6 +84,13 @@ class TestConnectedComponent:
     def test_empty_gallery(self):
         comp = connected_component(empty_gallery(3))
         assert len(comp) == 1 and not comp.edges
+
+    def test_equals_two_sided_closure_from_any_vertex(self):
+        # Raising to the source and then lowering loses no vertex and no edge.
+        for rank in range(2, 5):
+            for g in gallery_universe(rank, 4):
+                comp = connected_component(g)
+                assert (comp.vertices, comp.edges) == two_sided_closure(g)
 
     def test_closed_under_operators(self):
         comp = connected_component(G("1,2|1", 3))
@@ -150,7 +164,9 @@ class TestHighestWeightCrystal:
         for rank in range(2, 6):
             for lam in weights_with_dimension_at_most(rank, 200):
                 source = canonical_dominant_gallery(lam)
-                assert highest_weight_crystal(lam) == connected_component(source)
+                crystal = highest_weight_crystal(lam)
+                assert crystal == connected_component(source)
+                assert (crystal.vertices, crystal.edges) == two_sided_closure(source)
 
 
 class TestIsIsomorphic:
