@@ -8,7 +8,6 @@ from gallery_crystals import (
     i_signature,
     parse_gallery,
     phi,
-    reduce_signature,
 )
 
 star = parse_gallery("3|1,2|5|2", 5)
@@ -16,11 +15,8 @@ print("gallery:", format_gallery(star))
 
 for i in (1, 2):
     tags = i_signature(star, i)
-    reduced = reduce_signature(tags)
     print(f"\ni = {i}")
     print("  display tags      :", "".join(t.value for t in tags))
-    print("  surviving plus    :", reduced.surviving_plus, "(reading-order column indices)")
-    print("  surviving minus   :", reduced.surviving_minus)
     print("  epsilon, phi      :", epsilon(star, i), phi(star, i))
     lowered = f(star, i)
     print("  f_i               :", format_gallery(lowered) if lowered else "0")

@@ -2,15 +2,18 @@
 
 Every subcommand takes --rank explicitly (the alphabet size is never
 inferred from the input), reads galleries and words in the text formats of
-`galleries`, and writes deterministic output.  Exit codes: 0 on success, 1
-on domain errors (a machine-readable JSON report goes to stderr), 2 on usage
-errors.
+`galleries`, and writes deterministic output in the formats it accepts
+through --format.  Exit codes: 0 on success, 1 on domain errors (a
+machine-readable JSON report goes to stderr), 2 on usage errors, and 141
+when the reader of standard output goes away, as a process killed by
+SIGPIPE would report.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 
@@ -48,6 +51,16 @@ def _parse_ints(text: str, what: str) -> tuple[int, ...]:
         return tuple(int(piece) for piece in text.split(","))
     except ValueError:
         raise ParseError(f"malformed {what} {text!r}; expected comma-separated integers")
+
+
+def _count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return value
 
 
 def _print(text: str) -> None:
@@ -300,13 +313,6 @@ def _cmd_path(args) -> None:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--rank", type=int, required=True, help="alphabet size n (>= 2)")
-    common.add_argument(
-        "--format",
-        choices=("text", "json", "dot", "svg"),
-        default="text",
-        help="output format (dot for graphs, svg for rank-3 paths)",
-    )
-    common.add_argument("--seed", type=int, default=None, help="seed for randomized checks")
 
     parser = argparse.ArgumentParser(
         prog="gallery-crystals",
@@ -314,8 +320,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, help_text, **extra):
+    def add(name, handler, help_text, formats=("text", "json")):
         p = sub.add_parser(name, parents=[common], help=help_text)
+        p.add_argument("--format", choices=formats, default="text", help="output format")
         p.set_defaults(handler=handler)
         return p
 
@@ -325,10 +332,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("word", _cmd_word, "word of a gallery")
     p.add_argument("gallery")
 
-    p = add("from-word", _cmd_from_word, "gallery of shape (1,...,1) with the given word")
+    p = add(
+        "from-word", _cmd_from_word, "gallery of shape (1,...,1) with the given word", ("text",)
+    )
     p.add_argument("word")
 
-    p = add("concat", _cmd_concat, "concatenate OUTER * INNER (INNER is read first)")
+    p = add("concat", _cmd_concat, "concatenate OUTER * INNER (INNER is read first)", ("text",))
     p.add_argument("outer")
     p.add_argument("inner")
 
@@ -345,10 +354,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("apply", _cmd_apply, "apply a root operator; inapplicable prints 0")
     p.add_argument("--op", choices=("f", "e"), required=True)
     p.add_argument("--i", type=int, required=True)
-    p.add_argument("--times", type=int, default=1)
+    p.add_argument("--times", type=_count, default=1)
     p.add_argument("gallery")
 
-    p = add("normal-form", _cmd_normal_form, "plactic normal form (semistandard tableau)")
+    p = add(
+        "normal-form", _cmd_normal_form, "plactic normal form (semistandard tableau)", ("text",)
+    )
     p.add_argument("gallery")
 
     p = add("equivalent", _cmd_equivalent, "whether two galleries are plactic equivalent")
@@ -356,12 +367,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("second")
 
     p = add("oracle-classes", _cmd_oracle_classes, "brute-force plactic classes of short words")
-    p.add_argument("--max-len", type=int, required=True)
+    p.add_argument("--max-len", type=_count, required=True)
 
-    p = add("component", _cmd_component, "connected crystal component of a gallery")
+    graph_formats = ("text", "json", "dot")
+    p = add(
+        "component", _cmd_component, "connected crystal component of a gallery", graph_formats
+    )
     p.add_argument("gallery")
 
-    p = add("blambda", _cmd_blambda, "crystal B(lambda) from its dominant tableau")
+    p = add("blambda", _cmd_blambda, "crystal B(lambda) from its dominant tableau", graph_formats)
     p.add_argument("--lambda", dest="lam", required=True, help="fundamental coordinates m1,m2,...")
 
     p = add("decompose", _cmd_decompose, "component decomposition of a shape crystal")
@@ -384,9 +398,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("appendix-check", _cmd_appendix_check, "staircase splice wall checks")
     p.add_argument("--gamma", default="")
     p.add_argument("--delta", default="")
-    p.add_argument("--cases", type=int, default=100, help="random pairs when --seed is given")
+    p.add_argument("--seed", type=int, default=None, help="also check seeded random pairs")
+    p.add_argument("--cases", type=_count, default=100, help="random pairs when --seed is given")
 
-    p = add("path", _cmd_path, "lattice path vertices (json) or rank-3 SVG plot")
+    p = add(
+        "path",
+        _cmd_path,
+        "lattice path vertices (json) or rank-3 SVG plot",
+        ("text", "json", "svg"),
+    )
     p.add_argument("gallery")
 
     return parser
@@ -407,7 +427,15 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader has gone.  Point stdout at devnull so that the flush at
+        # interpreter exit does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":

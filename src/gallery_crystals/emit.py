@@ -24,26 +24,20 @@ def to_json(document) -> str:
 def graph_document(graph: CrystalGraph) -> dict:
     vertices = graph.sorted_vertices()
     index = {g: k for k, g in enumerate(vertices)}
-    edges = [
-        {"from": index[u], "to": index[v], "i": i}
-        for u, v, i in sorted(graph.edges, key=lambda edge: (index[edge[0]], edge[2]))
-    ]
     return {
         "rank": graph.rank,
         "vertices": [format_gallery(g) for g in vertices],
-        "edges": edges,
+        "edges": [{"from": index[u], "to": index[v], "i": i} for u, v, i in graph.sorted_edges()],
     }
 
 
 def graph_dot(graph: CrystalGraph) -> str:
-    vertices = graph.sorted_vertices()
-    index = {g: k for k, g in enumerate(vertices)}
+    document = graph_document(graph)
     lines = ["digraph crystal {"]
-    for k, g in enumerate(vertices):
-        label = format_gallery(g) or "empty"
-        lines.append(f'  v{k} [label="{label}"];')
-    for u, v, i in sorted(graph.edges, key=lambda edge: (index[edge[0]], edge[2])):
-        lines.append(f'  v{index[u]} -> v{index[v]} [label="{i}"];')
+    for k, label in enumerate(document["vertices"]):
+        lines.append(f'  v{k} [label="{label or "empty"}"];')
+    for edge in document["edges"]:
+        lines.append(f'  v{edge["from"]} -> v{edge["to"]} [label="{edge["i"]}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

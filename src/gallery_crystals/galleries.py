@@ -35,11 +35,18 @@ Shape = tuple[int, ...]
 LatticePoint = tuple[int, ...]
 
 
-def _plain_letter(a) -> int:
-    """The letter as a plain int; anything but an int, or a bool, is rejected."""
-    if not isinstance(a, int) or isinstance(a, bool):
-        raise LetterNotInteger(f"letter {a!r} is not an int")
-    return int(a)
+def _plain_ints(values, error=LetterNotInteger, what="letter") -> tuple[int, ...]:
+    """The values as plain ints; anything but an int, or a bool, raises ``error``.
+
+    Members of other int subclasses (an ``IntEnum``, say) become plain ints.
+    """
+    values = tuple(values)
+    if any(type(a) is not int for a in values):
+        for a in values:
+            if not isinstance(a, int) or isinstance(a, bool):
+                raise error(f"{what} {a!r} is not an int")
+        values = tuple(int(a) for a in values)
+    return values
 
 
 @dataclass(frozen=True)
@@ -62,7 +69,7 @@ class Gallery:
             raise InvalidRank(f"rank must be an integer >= 2, got {self.rank!r}")
         cols = tuple(tuple(col) for col in self.columns)
         if any(type(a) is not int for col in cols for a in col):
-            cols = tuple(tuple(_plain_letter(a) for a in col) for col in cols)
+            cols = tuple(_plain_ints(col) for col in cols)
         object.__setattr__(self, "columns", cols)
         for col in cols:
             if not col:
@@ -271,7 +278,7 @@ class DominantWeight:
     coeffs: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        coeffs = tuple(int(m) for m in self.coeffs)
+        coeffs = _plain_ints(self.coeffs, NotDominant, "fundamental coordinate")
         if not coeffs:
             raise InvalidRank("dominant weights need at least one fundamental coordinate")
         if any(m < 0 for m in coeffs):
@@ -312,8 +319,8 @@ class DominantWeight:
 
 
 def validate_shape(shape, rank: int) -> Shape:
-    """Check a reading-order shape: every entry in 1..rank-1."""
-    out = tuple(int(d) for d in shape)
+    """Check a reading-order shape: every entry an int in 1..rank-1."""
+    out = _plain_ints(shape, ShapeInvalid, "column length")
     for d in out:
         if not 1 <= d <= rank - 1:
             raise ShapeInvalid(f"column length {d} not in 1..{rank - 1}")

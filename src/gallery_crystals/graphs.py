@@ -8,7 +8,10 @@ vertex's weight.
 
 `connected_component` raises a gallery to that source and generates the
 component from it with the f_i alone; `highest_weight_crystal` is the
-component of the dominant tableau.  `enumerate_ssyt` lists the vertex set of
+component of the dominant tableau.  A gallery is a source exactly when its
+path stays in the dominant chamber, so `decompose` counts the dominant
+galleries of a shape by weight and searches no component.  `is_isomorphic`
+reads the graphs' stored edges.  `enumerate_ssyt` lists the vertex set of
 B(lambda) without any crystal operator, row by row as Gelfand-Tsetlin
 patterns, and serves as the independent check on the crystal side.
 """
@@ -20,11 +23,12 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb
 
-from .errors import NotConnected, ShapeInvalid
+from .errors import NotConnected
 from .galleries import (
     DominantWeight,
     Gallery,
     Shape,
+    is_dominant,
     validate_shape,
     weight,
 )
@@ -44,8 +48,9 @@ class CrystalGraph:
         return sorted(self.vertices, key=lambda g: (g.shape, g.columns))
 
     def sorted_edges(self) -> list[tuple[Gallery, Gallery, int]]:
+        """Canonical edge order: by source vertex, then by i (f_i(u) is unique)."""
         index = {g: k for k, g in enumerate(self.sorted_vertices())}
-        return sorted(self.edges, key=lambda edge: (index[edge[0]], edge[2], index[edge[1]]))
+        return sorted(self.edges, key=lambda edge: (index[edge[0]], edge[2]))
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -122,10 +127,18 @@ def highest_weight_crystal(lam: DominantWeight) -> CrystalGraph:
 
 
 def _source_vertex(graph: CrystalGraph) -> Gallery:
-    sources = [v for v in graph.vertices if all(e(v, i) is None for i in range(1, graph.rank))]
+    sources = graph.vertices - {v for _, v, _ in graph.edges}
     if len(sources) != 1:
         raise NotConnected(f"expected a unique source vertex, found {len(sources)}")
-    return sources[0]
+    return next(iter(sources))
+
+
+def _moves(graph: CrystalGraph) -> tuple[dict, dict]:
+    # The stored edges keyed both ways: (u, i) -> f_i(u) and (v, i) -> e_i(v).
+    return (
+        {(u, i): v for u, v, i in graph.edges},
+        {(v, i): u for u, v, i in graph.edges},
+    )
 
 
 def is_isomorphic(
@@ -133,29 +146,33 @@ def is_isomorphic(
 ) -> tuple[bool, dict[Gallery, Gallery] | None]:
     """Label-preserving crystal isomorphism test for connected graphs.
 
-    Runs a simultaneous traversal from the two source vertices, matching
-    f_i and e_i moves step for step.  Returns the vertex map on success; the
-    map preserves weights because the sources agree and every edge shifts
-    the weight by the same simple root on both sides.
+    Runs a simultaneous traversal from the two source vertices (the vertex
+    that is no edge's target), matching stored f_i and e_i moves step for
+    step.  Returns the vertex map on success; the map preserves weights
+    because the sources agree and every edge shifts the weight by the same
+    simple root on both sides.
     """
     for graph in (first, second):
         if not graph.is_connected():
             raise NotConnected("is_isomorphic requires connected crystal graphs")
-    if first.rank != second.rank or len(first) != len(second):
+    if (first.rank, len(first), len(first.edges)) != (
+        second.rank, len(second), len(second.edges)
+    ):
         return False, None
     a = _source_vertex(first)
     b = _source_vertex(second)
     if weight(a) != weight(b):
         return False, None
+    steps = tuple(zip(_moves(first), _moves(second)))
     mapping = {a: b}
     queue = deque([a])
     while queue:
         u = queue.popleft()
         v = mapping[u]
         for i in range(1, first.rank):
-            for op in (f, e):
-                nu = op(u, i)
-                nv = op(v, i)
+            for step_a, step_b in steps:
+                nu = step_a.get((u, i))
+                nv = step_b.get((v, i))
                 if (nu is None) != (nv is None):
                     return False, None
                 if nu is None:
@@ -166,7 +183,7 @@ def is_isomorphic(
                     queue.append(nu)
                 elif known != nv:
                     return False, None
-    if len(mapping) != len(first):
+    if len(set(mapping.values())) != len(first):
         return False, None
     return True, mapping
 
@@ -229,37 +246,26 @@ class Decomposition:
 
 
 def decompose(shape: Shape, rank: int) -> Decomposition:
-    """Group all galleries of the shape into components and report multiplicities.
+    """Multiplicities of the components of the shape crystal, by highest weight.
 
-    The multiplicity of lambda equals the number of dominant galleries of the
-    shape with weight lambda, one per component.
+    Each component has one source, and a gallery is a source exactly when
+    its path stays dominant (Littelmann's path model).  So the multiplicity
+    of lambda is the number of dominant galleries of the shape with weight
+    lambda, and those galleries, in lexicographic order, are the
+    representatives.
     """
     shape = validate_shape(shape, rank)
-    seen: set[Gallery] = set()
     reps: dict[DominantWeight, list[Gallery]] = {}
-    total = 0
-    covered = 0
     for gallery in galleries_of_shape(shape, rank):
-        total += 1
-        if gallery in seen:
-            continue
-        top = highest_weight_vertex(gallery)
-        component = connected_component(top)
-        seen |= component.vertices
-        covered += len(component)
-        lam = weight(top).to_dominant_weight()
-        reps.setdefault(lam, []).append(top)
-    if covered != total:
-        raise ShapeInvalid("component closure left the shape crystal")  # unreachable
+        if is_dominant(gallery):
+            reps.setdefault(weight(gallery).to_dominant_weight(), []).append(gallery)
     entries = tuple(
-        DecompositionEntry(
-            lam=lam,
-            multiplicity=len(tops),
-            representatives=tuple(sorted(tops, key=lambda g: (g.shape, g.columns))),
-        )
+        DecompositionEntry(lam=lam, multiplicity=len(tops), representatives=tuple(tops))
         for lam, tops in sorted(reps.items(), key=lambda item: item[0].coeffs)
     )
-    return Decomposition(rank=rank, shape=shape, entries=entries, total=total)
+    return Decomposition(
+        rank=rank, shape=shape, entries=entries, total=count_galleries(shape, rank)
+    )
 
 
 def _row_fillings(

@@ -12,7 +12,6 @@ returns None.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 from .errors import BrokenColumn, IndexOutOfRange
 from .galleries import Gallery
@@ -22,27 +21,6 @@ class Tag(enum.Enum):
     PLUS = "+"
     MINUS = "-"
     NONE = "0"
-
-
-@dataclass(frozen=True)
-class SignatureReduction:
-    """Surviving tags after cancellation.
-
-    Positions are reading-order column indices, listed in display order
-    (left to right); every surviving plus sits left of every surviving minus
-    in the display.
-    """
-
-    surviving_plus: tuple[int, ...]
-    surviving_minus: tuple[int, ...]
-
-    @property
-    def num_plus(self) -> int:
-        return len(self.surviving_plus)
-
-    @property
-    def num_minus(self) -> int:
-        return len(self.surviving_minus)
 
 
 def _check_index(i: int, rank: int) -> None:
@@ -66,35 +44,12 @@ def i_signature(gallery: Gallery, i: int) -> tuple[Tag, ...]:
     return tuple(tags)
 
 
-def reduce_signature(tags) -> SignatureReduction:
-    """Cancel adjacent (- +) display pairs until only (+)^s (-)^r survives.
-
-    Implemented as a single left-to-right pass: minus tags are stacked, a
-    plus cancels the most recent open minus, and anything left over survives.
-    The result is independent of the order in which adjacent pairs are
-    removed (standard bracket matching), which the tests check against a
-    randomized reducer.
-    """
-    tags = tuple(tags)
-    r = len(tags)
-    plus: list[int] = []
-    minus: list[int] = []
-    for disp, tag in enumerate(tags):
-        if tag is Tag.PLUS:
-            if minus:
-                minus.pop()
-            else:
-                plus.append(disp)
-        elif tag is Tag.MINUS:
-            minus.append(disp)
-    return SignatureReduction(
-        surviving_plus=tuple(r - 1 - d for d in plus),
-        surviving_minus=tuple(r - 1 - d for d in minus),
-    )
-
-
 def _survivors(gallery: Gallery, i: int) -> tuple[list[int], list[int]]:
-    # Display-order scan; returns surviving plus/minus display positions.
+    # Surviving plus/minus display positions after cancellation, in one
+    # left-to-right pass: a minus is stacked and a later plus cancels the most
+    # recent open one.  This is bracket matching, so the survivors do not
+    # depend on the order in which adjacent (- +) pairs are removed; the tests
+    # check that against a randomized reducer.
     j = i + 1
     plus: list[int] = []
     minus: list[int] = []
@@ -143,20 +98,6 @@ def e(gallery: Gallery, i: int) -> Gallery | None:
         return None
     reading_index = len(gallery.columns) - 1 - minus[0]
     return _replace_entry(gallery, reading_index, i + 1, i)
-
-
-def lower_and_raise(gallery: Gallery, i: int) -> tuple[Gallery | None, Gallery | None]:
-    """(f_i result, e_i result) from a single signature scan."""
-    _check_index(i, gallery.rank)
-    plus, minus = _survivors(gallery, i)
-    r = len(gallery.columns)
-    lowered = (
-        _replace_entry(gallery, r - 1 - plus[-1], i, i + 1) if plus else None
-    )
-    raised = (
-        _replace_entry(gallery, r - 1 - minus[0], i + 1, i) if minus else None
-    )
-    return lowered, raised
 
 
 def epsilon(gallery: Gallery, i: int) -> int:

@@ -11,11 +11,14 @@ together with the column relation
     c.  1 2 ... n = (empty word).
 
 Every gallery is equivalent to a unique semistandard Young tableau with
-columns of length at most n-1.  `normal_form` computes it by Schensted row
-insertion of the gallery word (letters taken last to first, matching the
-column reading convention) followed by removal of full columns, iterated
-until stable.  `oracle_plactic_classes` is an independent brute-force
-rewriting oracle used to certify the normal form at test scale.
+columns of length at most n-1.  `normal_form` computes it in one pass:
+Schensted row insertion of the gallery word (letters taken last to first,
+matching the column reading convention), then removal of the full columns.
+A full column is 1..n, which by relation c is the empty word, and it sits
+leftmost because column lengths weakly decrease left to right; removing it
+leaves a semistandard tableau, whose reading word inserts back to itself.
+`oracle_plactic_classes` is an independent brute-force rewriting oracle
+used to certify the normal form at test scale.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from collections import deque
 from itertools import product
 
 from .errors import RankMismatch
-from .galleries import Gallery, Word, word
+from .galleries import Gallery, Word, _plain_ints, word
 
 
 def is_ssyt(gallery: Gallery) -> bool:
@@ -66,11 +69,11 @@ def rsk_insert(letters, rank: int) -> Gallery:
     """Schensted row insertion of the letters, taken last to first.
 
     The output satisfies the row and column tableau conditions but may
-    contain columns of length n; `strip_full_columns` removes those.
+    contain columns of length n; `strip_full_columns` removes those.  A
+    letter that is not an int, or is a bool, raises `LetterNotInteger`.
     """
     rows: list[list[int]] = []
-    for x in reversed(tuple(letters)):
-        x = int(x)
+    for x in reversed(_plain_ints(letters)):
         i = 0
         while True:
             if i == len(rows):
@@ -96,14 +99,11 @@ def strip_full_columns(tableau: Gallery) -> Gallery:
 def normal_form(gallery: Gallery) -> Gallery:
     """The unique equivalent semistandard Young tableau with columns <= n-1.
 
-    Insertion can cascade: stripping full columns changes the word, so the
-    remaining word is reinserted until the tableau is stable.
+    One insertion suffices: the full columns of the insertion tableau are
+    its leftmost columns, so stripping them leaves a semistandard tableau,
+    and reinserting that tableau's word would give it back unchanged.
     """
-    n = gallery.rank
-    tableau = rsk_insert(word(gallery), n)
-    while any(len(col) == n for col in tableau.columns):
-        tableau = rsk_insert(word(strip_full_columns(tableau)), n)
-    return tableau
+    return strip_full_columns(rsk_insert(word(gallery), gallery.rank))
 
 
 def equivalent(gallery: Gallery, other: Gallery) -> bool:

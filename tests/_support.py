@@ -6,12 +6,17 @@ import random
 from collections import deque
 
 from gallery_crystals import (
+    Decomposition,
+    DecompositionEntry,
     DominantWeight,
     Gallery,
+    connected_component,
     e,
     f,
     galleries_of_shape,
+    highest_weight_vertex,
     parse_gallery,
+    weight,
     weyl_dimension,
 )
 from gallery_crystals.galleries import Shape, validate_shape
@@ -87,6 +92,37 @@ def two_sided_closure(gallery: Gallery) -> tuple[frozenset, frozenset]:
                     seen.add(w)
                     queue.append(w)
     return frozenset(seen), frozenset(edges)
+
+
+def component_decomposition(shape: Shape, rank: int) -> Decomposition:
+    """Reference for `decompose`: search out every component of the shape crystal.
+
+    Each gallery not yet covered is raised to its source, whose component is
+    generated and marked covered; the sources are grouped by weight.  It uses
+    the crystal operators and not dominance, so it checks that the dominant
+    galleries are exactly the sources.
+    """
+    shape = validate_shape(shape, rank)
+    seen: set[Gallery] = set()
+    reps: dict[DominantWeight, list[Gallery]] = {}
+    total = 0
+    for gallery in galleries_of_shape(shape, rank):
+        total += 1
+        if gallery in seen:
+            continue
+        top = highest_weight_vertex(gallery)
+        seen |= connected_component(top).vertices
+        reps.setdefault(weight(top).to_dominant_weight(), []).append(top)
+    assert len(seen) == total
+    entries = tuple(
+        DecompositionEntry(
+            lam=lam,
+            multiplicity=len(tops),
+            representatives=tuple(sorted(tops, key=lambda g: (g.shape, g.columns))),
+        )
+        for lam, tops in sorted(reps.items(), key=lambda item: item[0].coeffs)
+    )
+    return Decomposition(rank=rank, shape=shape, entries=entries, total=total)
 
 
 def naive_epsilon(gallery: Gallery, i: int) -> int:

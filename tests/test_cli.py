@@ -1,8 +1,16 @@
 """Command line interface: dispatch, formats, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from gallery_crystals.cli import run
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def invoke(capsys, *argv):
@@ -204,3 +212,69 @@ class TestErrorsAndDeterminism:
         first = invoke(capsys, *args)
         second = invoke(capsys, *args)
         assert first == second
+
+
+class TestRejectedOptions:
+    @pytest.mark.parametrize(
+        "command, fmt, argv",
+        [
+            ("word", "svg", ["1"]),
+            ("validate", "dot", ["1"]),
+            ("from-word", "json", ["12"]),
+            ("concat", "json", ["1", "2"]),
+            ("normal-form", "json", ["1"]),
+            ("component", "svg", ["1"]),
+            ("blambda", "svg", ["--lambda", "1,1"]),
+            ("decompose", "dot", ["--shape", "1"]),
+            ("path", "dot", ["1"]),
+        ],
+    )
+    def test_format_not_produced(self, capsys, command, fmt, argv):
+        code, out, _ = invoke(capsys, command, "--rank", "3", "--format", fmt, *argv)
+        assert code == 2 and out == ""
+
+    @pytest.mark.parametrize(
+        "command, formats, argv",
+        [
+            ("normal-form", ("text",), ["1|2|1"]),
+            ("component", ("text", "json", "dot"), ["1"]),
+            ("path", ("text", "json", "svg"), ["1"]),
+            ("decompose", ("text", "json"), ["--shape", "1"]),
+        ],
+    )
+    def test_formats_produced(self, capsys, command, formats, argv):
+        for fmt in formats:
+            assert invoke(capsys, command, "--rank", "3", "--format", fmt, *argv)[0] == 0
+
+    def test_seed_only_for_appendix_check(self, capsys):
+        assert invoke(capsys, "word", "--rank", "3", "--seed", "1", "1")[0] == 2
+        assert invoke(capsys, "appendix-check", "--rank", "3", "--seed", "1")[0] == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["apply", "--rank", "3", "--op", "f", "--i", "1", "--times", "-1", "1"],
+            ["oracle-classes", "--rank", "3", "--max-len", "-1"],
+            ["appendix-check", "--rank", "3", "--seed", "1", "--cases", "-5"],
+        ],
+    )
+    def test_negative_count(self, capsys, argv):
+        code, out, _ = invoke(capsys, *argv)
+        assert code == 2 and out == ""
+
+
+def test_closed_stdout_exits_quietly():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.Popen(
+        # about 116 kB of JSON, more than a pipe buffer holds
+        [sys.executable, "-m", "gallery_crystals", "blambda", "--rank", "4",
+         "--lambda", "2,2,2", "--format", "json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdout.close()  # the reader goes away before any output
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""

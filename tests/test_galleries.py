@@ -17,6 +17,7 @@ from gallery_crystals import (
     NotDominant,
     ParseError,
     RankMismatch,
+    ShapeInvalid,
     WeightVector,
     concat,
     dominance_leq,
@@ -30,6 +31,7 @@ from gallery_crystals import (
     parse_word,
     path_vertices,
     validate_gallery,
+    validate_shape,
     weight,
     word,
 )
@@ -73,6 +75,10 @@ class TestValidateGallery:
         g = Gallery(3, ((1, Letter.TWO),))
         assert g == Gallery(3, ((1, 2),))
         assert all(type(a) is int for a in g.columns[0])
+
+    def test_non_integer_shape_rejected(self):
+        with pytest.raises(ShapeInvalid):
+            validate_shape((1.9, "2"), 3)
 
     def test_parse_garbage(self):
         with pytest.raises(ParseError):
@@ -243,6 +249,10 @@ class TestWeightConversions:
     def test_not_dominant(self):
         with pytest.raises(NotDominant):
             WeightVector((0, 1, 0)).to_dominant_weight()
+
+    def test_non_integer_coordinates_rejected(self):
+        with pytest.raises(NotDominant):
+            DominantWeight((1.5, True))
 
     def test_column_shape(self):
         assert DominantWeight((1, 1)).column_shape() == (1, 2)

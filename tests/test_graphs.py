@@ -28,6 +28,7 @@ from gallery_crystals.graphs import CrystalGraph
 from _support import (
     G,
     cellwise_ssyt,
+    component_decomposition,
     gallery_universe,
     shapes_up_to,
     two_sided_closure,
@@ -192,6 +193,17 @@ class TestIsIsomorphic:
         assert ok
         assert all(mapping[v] == v for v in comp.vertices)
 
+    def test_edges_are_read(self):
+        full = highest_weight_crystal(DominantWeight((1, 1)))
+        cut_edge = (G("1,2|1", 3), G("1,2|2", 3), 1)
+        assert cut_edge in full.edges
+        cut = CrystalGraph(3, full.vertices, full.edges - {cut_edge})
+        assert cut.is_connected()
+        assert is_isomorphic(full, cut) == (False, None)
+        # without that edge, 1,2|2 is a second source
+        with pytest.raises(NotConnected):
+            is_isomorphic(cut, cut)
+
     def test_not_connected_rejected(self):
         a = G("1", 3)
         b = G("1|1", 3)
@@ -242,6 +254,12 @@ class TestDecompose:
     def test_invalid_shape(self):
         with pytest.raises(ShapeInvalid):
             decompose((3,), 3)
+
+    def test_matches_component_search(self):
+        cases = [(shape, rank) for rank in (2, 3, 4) for shape in shapes_up_to(6, rank - 1)]
+        cases += [(shape, 5) for shape in shapes_up_to(5, 4)]
+        for shape, rank in cases:
+            assert decompose(shape, rank) == component_decomposition(shape, rank), (shape, rank)
 
 
 class TestWeylDimension:

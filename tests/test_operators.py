@@ -5,6 +5,7 @@ import random
 import pytest
 
 from gallery_crystals import (
+    Gallery,
     IndexOutOfRange,
     e,
     empty_gallery,
@@ -15,11 +16,10 @@ from gallery_crystals import (
     i_signature,
     is_dominant,
     phi,
-    reduce_signature,
     weight,
     word,
 )
-from gallery_crystals.operators import Tag, lower_and_raise
+from gallery_crystals.operators import Tag
 from _support import G, gallery_universe, naive_epsilon, naive_phi, randomized_reduction
 
 
@@ -42,39 +42,61 @@ class TestISignature:
             i_signature(G("1", 3), 3)
 
 
+def display_gallery(symbols: str) -> Gallery:
+    """The rank-3 gallery whose display columns carry the given 1-tags."""
+    display = tuple({"+": (1,), "-": (2,), "0": (3,)}[ch] for ch in symbols)
+    return Gallery(3, display[::-1])
+
+
+def changed_display_column(g: Gallery, image: Gallery) -> int:
+    """The display position of the one column in which image differs from g."""
+    changed = [
+        pos
+        for pos, (a, b) in enumerate(zip(g.columns[::-1], image.columns[::-1]))
+        if a != b
+    ]
+    assert len(changed) == 1
+    return changed[0]
+
+
 class TestReduceSignature:
+    """The reduced signature as phi, epsilon and the columns f and e change."""
+
     def test_star_reduction(self):
-        red = reduce_signature(tags("-+0+"))
+        g = G("3|1,2|5|2", 5)
         # the rightmost display column (reading index 0) survives as "+"
-        assert red.surviving_plus == (0,)
-        assert red.surviving_minus == ()
+        assert (phi(g, 2), epsilon(g, 2)) == (1, 0)
+        assert changed_display_column(g, f(g, 2)) == 3
 
     def test_already_reduced(self):
-        red = reduce_signature(tags("+-"))
-        assert red.num_plus == 1 and red.num_minus == 1
-        assert red.surviving_plus == (1,)
-        assert red.surviving_minus == (0,)
+        g = display_gallery("+-")
+        assert (phi(g, 1), epsilon(g, 1)) == (1, 1)
+        assert changed_display_column(g, f(g, 1)) == 0
+        assert changed_display_column(g, e(g, 1)) == 1
 
     def test_full_cancellation(self):
-        red = reduce_signature(tags("-+"))
-        assert red.num_plus == 0 and red.num_minus == 0
+        g = display_gallery("-+")
+        assert (phi(g, 1), epsilon(g, 1)) == (0, 0)
+        assert f(g, 1) is None and e(g, 1) is None
 
     def test_confluence_against_random_reducer(self):
         rng = random.Random(20240811)
         for trial in range(300):
-            length = rng.randint(0, 12)
-            symbols = "".join(rng.choice("+-0") for _ in range(length))
-            sequence = tags(symbols)
-            reduced = reduce_signature(sequence)
+            symbols = "".join(rng.choice("+-0") for _ in range(rng.randint(0, 12)))
+            g = display_gallery(symbols)
+            sequence = i_signature(g, 1)
+            assert sequence == tags(symbols)
             survivors = randomized_reduction(sequence, rng)
-            expected_plus = tuple(
-                length - 1 - pos for pos, tag in survivors if tag is Tag.PLUS
-            )
-            expected_minus = tuple(
-                length - 1 - pos for pos, tag in survivors if tag is Tag.MINUS
-            )
-            assert reduced.surviving_plus == expected_plus
-            assert reduced.surviving_minus == expected_minus
+            plus = [pos for pos, tag in survivors if tag is Tag.PLUS]
+            minus = [pos for pos, tag in survivors if tag is Tag.MINUS]
+            assert (phi(g, 1), epsilon(g, 1)) == (len(plus), len(minus))
+            # f acts on the rightmost surviving plus, e on the leftmost minus
+            lowered, raised = f(g, 1), e(g, 1)
+            assert (lowered is None) == (not plus) and (raised is None) == (not minus)
+            if plus:
+                assert changed_display_column(g, lowered) == plus[-1]
+            if minus:
+                assert changed_display_column(g, raised) == minus[0]
             # survivors read (+)^s (-)^r in display order
             positions = [pos for pos, _ in survivors]
             assert positions == sorted(positions)
@@ -174,8 +196,3 @@ class TestCrystalAxiomsSmall:
                         assert word_image is None
                     else:
                         assert word_image == gallery_from_word(word(image), 3)
-
-    def test_fused_step_matches(self):
-        for g in gallery_universe(3, 3):
-            for i in (1, 2):
-                assert lower_and_raise(g, i) == (f(g, i), e(g, i))

@@ -4,6 +4,7 @@ import pytest
 
 from gallery_crystals import (
     Gallery,
+    LetterNotInteger,
     RankMismatch,
     empty_gallery,
     equivalent,
@@ -53,6 +54,10 @@ class TestRskInsert:
     def test_increasing_word_gives_full_column(self):
         tableau = rsk_insert((1, 2, 3), 3)
         assert tableau.columns == ((1, 2, 3),)
+
+    def test_non_integer_letters_rejected(self):
+        with pytest.raises(LetterNotInteger):
+            rsk_insert(("2", 1.9), 3)
 
     def test_word_is_plactic_stable(self):
         # reinserting the word of an insertion tableau reproduces it
