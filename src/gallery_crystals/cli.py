@@ -6,12 +6,21 @@ inferred from the input), reads galleries and words in the text formats of
 through --format.  Exit codes: 0 on success, 1 on domain errors (a
 machine-readable JSON report goes to stderr), 2 on usage errors, and 141
 when the reader of standard output goes away, as a process killed by
-SIGPIPE would report.
+SIGPIPE would report.  A request that would enumerate more than
+`SIZE_LIMIT` galleries, crystal vertices or words fails up front with the
+domain error ``too-large``.
+
+The argparse tree is built once per process, on the first `run`, and reused:
+building its twenty subparsers costs several times more than parsing a
+typical request.  Reuse is safe because `parse_args` returns a fresh
+namespace on every call and looks up ``sys.stdout``/``sys.stderr`` only when
+it writes help or an error.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -24,7 +33,7 @@ from .affine import (
     random_gallery,
     stabilizer_condition,
 )
-from .errors import GalleryError, ParseError
+from .errors import GalleryError, ParseError, TooLarge
 from .galleries import (
     DominantWeight,
     concat,
@@ -37,10 +46,28 @@ from .galleries import (
     weight,
     word,
 )
-from .graphs import connected_component, decompose, highest_weight_crystal
+from .graphs import (
+    connected_component,
+    count_galleries,
+    decompose,
+    highest_weight_crystal,
+    weyl_dimension,
+)
 from .mv import fiber, image_weights, make_label, mv_label
 from .operators import e, f, i_signature
 from .plactic import equivalent, normal_form, oracle_plactic_classes
+
+# The most galleries (decompose, image-weights, fiber), crystal vertices
+# (blambda, component) or words (oracle-classes) one request may enumerate;
+# each command checks its count before it starts.  Crystal graphs are the
+# dearest: at this size a component of long galleries takes about two
+# seconds and writes a few megabytes; at ten times the size, over a minute.
+SIZE_LIMIT = 10_000
+
+
+def _check_size(count: int, what: str) -> None:
+    if count > SIZE_LIMIT:
+        raise TooLarge(f"the request would enumerate {count} {what}; the limit is {SIZE_LIMIT}")
 
 
 def _parse_ints(text: str, what: str) -> tuple[int, ...]:
@@ -51,6 +78,12 @@ def _parse_ints(text: str, what: str) -> tuple[int, ...]:
         return tuple(int(piece) for piece in text.split(","))
     except ValueError:
         raise ParseError(f"malformed {what} {text!r}; expected comma-separated integers")
+
+
+def _shape(args) -> tuple[int, ...]:
+    shape = _parse_ints(args.shape, "shape")
+    _check_size(count_galleries(shape, args.rank), "galleries")
+    return shape
 
 
 def _count(text: str) -> int:
@@ -175,6 +208,15 @@ def _cmd_equivalent(args) -> None:
 
 
 def _cmd_oracle_classes(args) -> None:
+    # The search visits words up to rank letters longer than --max-len.  Each
+    # length adds a word or more, so the loop ends within SIZE_LIMIT steps.
+    letters = max(args.rank, 1)
+    words = 0
+    for length in range(args.max_len + letters + 1):
+        words += letters**length
+        if words > SIZE_LIMIT:
+            break
+    _check_size(words, "words")
     classes = oracle_plactic_classes(args.max_len, args.rank)
     if args.format == "json":
         _print(emit.to_json([[list(w) for w in cls] for cls in classes]))
@@ -184,7 +226,9 @@ def _cmd_oracle_classes(args) -> None:
 
 
 def _cmd_component(args) -> None:
-    _emit_graph(connected_component(parse_gallery(args.gallery, args.rank)), args.format)
+    gallery = parse_gallery(args.gallery, args.rank)
+    _check_size(weyl_dimension(mv_label(gallery).lam), "crystal vertices")
+    _emit_graph(connected_component(gallery), args.format)
 
 
 def _cmd_blambda(args) -> None:
@@ -193,11 +237,12 @@ def _cmd_blambda(args) -> None:
         raise ParseError(
             f"lambda has {lam.rank - 1} coordinates; rank {args.rank} needs {args.rank - 1}"
         )
+    _check_size(weyl_dimension(lam), "crystal vertices")
     _emit_graph(highest_weight_crystal(lam), args.format)
 
 
 def _cmd_decompose(args) -> None:
-    decomposition = decompose(_parse_ints(args.shape, "shape"), args.rank)
+    decomposition = decompose(_shape(args), args.rank)
     if args.format == "json":
         _print(emit.to_json(emit.decomposition_document(decomposition)))
     else:
@@ -222,7 +267,7 @@ def _cmd_fiber(args) -> None:
     lam = DominantWeight(_parse_ints(args.lam, "lambda"))
     tableau = parse_gallery(args.tableau, args.rank)
     label = make_label(lam, tableau)
-    hits = fiber(label, _parse_ints(args.shape, "shape"), args.rank)
+    hits = fiber(label, _shape(args), args.rank)
     if args.format == "json":
         _print(emit.to_json({"fiber": [format_gallery(g) for g in hits]}))
     else:
@@ -233,7 +278,7 @@ def _cmd_fiber(args) -> None:
 
 
 def _cmd_image_weights(args) -> None:
-    weights = image_weights(_parse_ints(args.shape, "shape"), args.rank)
+    weights = image_weights(_shape(args), args.rank)
     if args.format == "json":
         _print(
             emit.to_json(
@@ -412,8 +457,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# `run` shares one parser; `build_parser` still returns a new one to its callers.
+_shared_parser = functools.cache(build_parser)
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
+    parser = _shared_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -27,7 +27,9 @@ def graph_document(graph: CrystalGraph) -> dict:
     return {
         "rank": graph.rank,
         "vertices": [format_gallery(g) for g in vertices],
-        "edges": [{"from": index[u], "to": index[v], "i": i} for u, v, i in graph.sorted_edges()],
+        "edges": [
+            {"from": index[u], "to": index[v], "i": i} for u, v, i in graph.sorted_edges(index)
+        ],
     }
 
 

@@ -71,3 +71,9 @@ class SvgRankUnsupported(GalleryError):
 
 class ParseError(GalleryError):
     code = "parse-error"
+
+
+class TooLarge(GalleryError):
+    """A request would enumerate more objects than the command line allows."""
+
+    code = "too-large"

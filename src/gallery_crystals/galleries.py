@@ -190,7 +190,7 @@ class WeightVector:
     counts: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        counts = tuple(int(c) for c in self.counts)
+        counts = _plain_ints(self.counts, what="letter count")
         if len(counts) < 2:
             raise InvalidRank("weight vectors need at least 2 coordinates")
         object.__setattr__(self, "counts", _shift_to_zero(counts))
@@ -342,16 +342,31 @@ def format_gallery(gallery: Gallery) -> str:
 
 
 def parse_gallery(text: str, rank: int) -> Gallery:
+    """The proper gallery that the display string denotes.
+
+    Long galleries repeat a few distinct columns many times, so each distinct
+    column string is parsed and checked once.  A malformed column raises
+    `ParseError` for the first one in display order; any other fault is
+    reported by `validate_gallery`, exactly as for the full column list.
+    """
     text = text.strip()
     if not text:
         return validate_gallery(rank, ())
-    display = []
-    for chunk in text.split("|"):
+    chunks = text.split("|")
+    parsed = {}
+    for chunk in dict.fromkeys(chunks):
         entries = [piece.strip() for piece in chunk.split(",")]
         if any(not _TOKEN.match(piece) for piece in entries):
             raise ParseError(f"malformed column {chunk!r}")
-        display.append(tuple(int(piece) for piece in entries))
-    return validate_gallery(rank, tuple(reversed(display)))
+        parsed[chunk] = tuple(int(piece) for piece in entries)
+    columns = tuple(map(parsed.__getitem__, reversed(chunks)))
+    if isinstance(rank, int) and all(
+        0 < len(col) < rank and 1 <= col[0] and col[-1] <= rank
+        and all(x < y for x, y in zip(col, col[1:]))
+        for col in parsed.values()
+    ):
+        return Gallery._unsafe(rank, columns)
+    return validate_gallery(rank, columns)
 
 
 def format_word(letters) -> str:

@@ -47,9 +47,14 @@ class CrystalGraph:
         """Canonical vertex order: lexicographic on (shape, columns in reading order)."""
         return sorted(self.vertices, key=lambda g: (g.shape, g.columns))
 
-    def sorted_edges(self) -> list[tuple[Gallery, Gallery, int]]:
-        """Canonical edge order: by source vertex, then by i (f_i(u) is unique)."""
-        index = {g: k for k, g in enumerate(self.sorted_vertices())}
+    def sorted_edges(self, index=None) -> list[tuple[Gallery, Gallery, int]]:
+        """Canonical edge order: by source vertex, then by i (f_i(u) is unique).
+
+        ``index`` maps each vertex to its position in `sorted_vertices`; a
+        caller that has numbered the vertices passes it to save a second sort.
+        """
+        if index is None:
+            index = {g: k for k, g in enumerate(self.sorted_vertices())}
         return sorted(self.edges, key=lambda edge: (index[edge[0]], edge[2]))
 
     def __len__(self) -> int:

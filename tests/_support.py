@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 from collections import deque
 
 from gallery_crystals import (
@@ -10,12 +11,14 @@ from gallery_crystals import (
     DecompositionEntry,
     DominantWeight,
     Gallery,
+    ParseError,
     connected_component,
     e,
     f,
     galleries_of_shape,
     highest_weight_vertex,
     parse_gallery,
+    validate_gallery,
     weight,
     weyl_dimension,
 )
@@ -25,6 +28,20 @@ from gallery_crystals.operators import Tag
 
 def G(text: str, rank: int) -> Gallery:
     return parse_gallery(text, rank)
+
+
+def columnwise_parse_gallery(text: str, rank: int) -> Gallery:
+    """Reference for `parse_gallery`: parse every column, then validate them all."""
+    text = text.strip()
+    if not text:
+        return validate_gallery(rank, ())
+    display = []
+    for chunk in text.split("|"):
+        entries = [piece.strip() for piece in chunk.split(",")]
+        if any(not re.match(r"^\d+$", piece) for piece in entries):
+            raise ParseError(f"malformed column {chunk!r}")
+        display.append(tuple(int(piece) for piece in entries))
+    return validate_gallery(rank, tuple(reversed(display)))
 
 
 def shapes_up_to(total: int, max_part: int):

@@ -1,9 +1,11 @@
 """Command line interface: dispatch, formats, exit codes, determinism."""
 
+import argparse
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -261,6 +263,61 @@ class TestRejectedOptions:
     def test_negative_count(self, capsys, argv):
         code, out, _ = invoke(capsys, *argv)
         assert code == 2 and out == ""
+
+
+class TestRepeatedRuns:
+    """One process serves many requests with one parser; none leaks into the next."""
+
+    def test_no_state_carries_over(self, capsys):
+        assert invoke(capsys, "appendix-check", "--rank", "3", "--seed", "1") == (
+            0, "disjoint: true\nstabilizer: true\nrandom: 100/100 ok\n", ""
+        )
+        assert invoke(capsys, "appendix-check", "--rank", "3") == (
+            0, "disjoint: true\nstabilizer: true\n", ""
+        )
+        apply = ("apply", "--rank", "2", "--op", "f", "--i", "1")
+        assert invoke(capsys, *apply, "--times", "3", "1|1|1") == (0, "2|2|2\n", "")
+        assert invoke(capsys, *apply, "1|1|1") == (0, "1|1|2\n", "")
+        code, out, err = invoke(capsys, "word", "3|1,2|5|2")
+        assert code == 2 and out == "" and "--rank" in err
+        assert invoke(capsys, "word", "--rank", "5", "3|1,2|5|2") == (0, "2 5 1 2 3\n", "")
+
+    def test_parser_built_once(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        invoke(capsys, "word", "--rank", "3", "1")
+        built.clear()
+        assert invoke(capsys, "weight", "--rank", "3", "1,2|1") == (0, "2 1 0\n", "")
+        assert built == []
+
+
+class TestTooLarge:
+    EIGHT_DOMINOES = "2,2,2,2,2,2,2,2"  # 10^8 galleries at rank 5
+
+    @pytest.mark.parametrize(
+        "command, argv",
+        [
+            ("decompose", ["--rank", "5", "--shape", EIGHT_DOMINOES]),
+            ("image-weights", ["--rank", "5", "--shape", EIGHT_DOMINOES]),
+            ("fiber", ["--rank", "5", "--lambda", "1,0,0,0", "--tableau", "1",
+                       "--shape", EIGHT_DOMINOES]),
+            ("blambda", ["--rank", "3", "--lambda", "100,100"]),  # 1,030,301 vertices
+            ("component", ["--rank", "3", "|".join(["1"] * 500)]),  # B(500,0): 125,751
+            ("oracle-classes", ["--rank", "3", "--max-len", "20"]),
+        ],
+    )
+    def test_rejected_up_front(self, capsys, command, argv):
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, command, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "too-large"
 
 
 def test_closed_stdout_exits_quietly():

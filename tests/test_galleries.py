@@ -1,5 +1,6 @@
 """Core gallery operations: validation, words, weights, paths, dominance."""
 
+import random
 from collections import Counter
 from enum import IntEnum
 from itertools import chain
@@ -10,6 +11,7 @@ from gallery_crystals import (
     ColumnTooLong,
     DominantWeight,
     Gallery,
+    GalleryError,
     IndexOutOfRange,
     LetterNotInteger,
     LetterOutOfRange,
@@ -36,7 +38,7 @@ from gallery_crystals import (
     word,
 )
 from gallery_crystals.plactic import rsk_insert
-from _support import G, gallery_universe
+from _support import G, columnwise_parse_gallery, gallery_universe
 
 
 class TestValidateGallery:
@@ -250,6 +252,19 @@ class TestWeightConversions:
         with pytest.raises(NotDominant):
             WeightVector((0, 1, 0)).to_dominant_weight()
 
+    @pytest.mark.parametrize("count", [1.5, "2", True])
+    def test_non_integer_count_rejected(self, count):
+        with pytest.raises(LetterNotInteger):
+            WeightVector((1, count, 0))
+
+    def test_int_subclass_count_stored_as_int(self):
+        class Count(IntEnum):
+            TWO = 2
+
+        mu = WeightVector((Count.TWO, 1, 0))
+        assert mu == WeightVector((2, 1, 0))
+        assert all(type(c) is int for c in mu.counts)
+
     def test_non_integer_coordinates_rejected(self):
         with pytest.raises(NotDominant):
             DominantWeight((1.5, True))
@@ -294,3 +309,74 @@ class TestTextFormats:
 
     def test_format_word(self):
         assert format_word((2, 5, 1, 2, 3)) == "2 5 1 2 3"
+
+
+def _parse_outcome(parse, text, rank):
+    try:
+        return parse(text, rank)
+    except GalleryError as exc:
+        return type(exc), str(exc)
+
+
+def _gallery_text(rng: random.Random, rank: int) -> str:
+    """A display string drawn from a few columns, with whitespace and faults."""
+    pool = []
+    for _ in range(rng.randint(1, 4)):
+        col = sorted(rng.sample(range(1, rank + 1), rng.randint(1, max(1, rank - 1))))
+        fault = rng.random()
+        if fault < 0.04:
+            col = col + [rank]  # a full or non-increasing column
+        elif fault < 0.08:
+            col[rng.randrange(len(col))] = rng.choice((0, rank + 1))
+        elif fault < 0.1:
+            col.reverse()
+        pool.append(col)
+    chunks = []
+    for _ in range(rng.randint(1, 40)):
+        col = rng.choice(pool)
+        pieces = [rng.choice(("", " ", "\t")) + str(a) + rng.choice(("", " ")) for a in col]
+        chunks.append(",".join(pieces))
+    if rng.random() < 0.1:
+        chunks[rng.randrange(len(chunks))] = rng.choice(("", "x", "1,,2", " , ", "1 2"))
+    return rng.choice(("", " ")) + "|".join(chunks) + rng.choice(("", "\n"))
+
+
+class TestParseGalleryOracle:
+    """`parse_gallery` checks each distinct column once; the column-by-column
+    parser is the reference for its result and for which fault it reports."""
+
+    def test_structured_texts(self):
+        rng = random.Random(20240)
+        for _ in range(6000):
+            rank = rng.randint(2, 6)
+            text = _gallery_text(rng, rank)
+            for n in (rank, rank - 1):
+                assert _parse_outcome(parse_gallery, text, n) == _parse_outcome(
+                    columnwise_parse_gallery, text, n
+                ), (text, n)
+
+    def test_random_texts(self):
+        rng = random.Random(977)
+        alphabet = "0123456789,| x"
+        for _ in range(20000):
+            rank = rng.randint(2, 6)
+            text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 24)))
+            assert _parse_outcome(parse_gallery, text, rank) == _parse_outcome(
+                columnwise_parse_gallery, text, rank
+            ), (text, rank)
+
+    def test_multiple_faults_report_the_reference_one(self):
+        cases = [
+            ("x|2,1|1,2,3", 3),  # malformed first in display order
+            ("2,1|x", 3),  # malformed beats a column fault
+            ("1,2,3|2,1", 3),  # Gallery's checks run in reading order
+            ("2,1|1,2,3", 3),
+            ("4|1|1,2,3|0", 3),
+            ("1,2,3|1,2,3,4", 3),  # longer than rank before the rank - 1 rule
+            ("1|1", 1),  # rank checked after parsing
+            ("x", 1),
+        ]
+        for text, rank in cases:
+            expected = _parse_outcome(columnwise_parse_gallery, text, rank)
+            assert isinstance(expected, tuple)
+            assert _parse_outcome(parse_gallery, text, rank) == expected, (text, rank)
