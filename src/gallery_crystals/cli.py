@@ -25,6 +25,8 @@ import json
 import os
 import random
 import sys
+from itertools import chain
+from math import comb
 
 from . import emit
 from .affine import (
@@ -207,16 +209,34 @@ def _cmd_equivalent(args) -> None:
         _print("true" if value else "false")
 
 
-def _cmd_oracle_classes(args) -> None:
-    # The search visits words up to rank letters longer than --max-len.  Each
-    # length adds a word or more, so the loop ends within SIZE_LIMIT steps.
-    letters = max(args.rank, 1)
+def _oracle_words(max_len: int, rank: int) -> int:
+    """An upper bound on the words `oracle_plactic_classes` visits, or a
+    count past `SIZE_LIMIT` once the bound is sure to exceed it.
+
+    The search visits every word of length at most ``max_len``.  A longer
+    word, of length L up to ``max_len + rank``, is visited only if its
+    insertion tableau has a full column, since it is equivalent to a shorter
+    word.  Under RSK a word is a pair of tableaux of one shape; removing the
+    full first column from both leaves the pair of a word of L - rank letters,
+    and the removed recording entries are 1 and rank - 1 of the other L - 1
+    positions.  So at most C(L - 1, rank - 1) * rank**(L - rank) words of
+    length L are visited.
+    """
+    n = max(rank, 1)
+    counts = (n**length for length in range(max_len + 1))
+    longer = range(max(max_len + 1, n), max_len + n + 1)
+    counts = chain(counts, (comb(length - 1, n - 1) * n ** (length - n) for length in longer))
+    # Every term is at least 1, so this stops within SIZE_LIMIT + 1 terms.
     words = 0
-    for length in range(args.max_len + letters + 1):
-        words += letters**length
+    for count in counts:
+        words += count
         if words > SIZE_LIMIT:
             break
-    _check_size(words, "words")
+    return words
+
+
+def _cmd_oracle_classes(args) -> None:
+    _check_size(_oracle_words(args.max_len, args.rank), "words")
     classes = oracle_plactic_classes(args.max_len, args.rank)
     if args.format == "json":
         _print(emit.to_json([[list(w) for w in cls] for cls in classes]))

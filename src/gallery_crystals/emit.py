@@ -27,9 +27,7 @@ def graph_document(graph: CrystalGraph) -> dict:
     return {
         "rank": graph.rank,
         "vertices": [format_gallery(g) for g in vertices],
-        "edges": [
-            {"from": index[u], "to": index[v], "i": i} for u, v, i in graph.sorted_edges(index)
-        ],
+        "edges": [{"from": index[u], "to": index[v], "i": i} for u, v, i in graph.sorted_edges()],
     }
 
 

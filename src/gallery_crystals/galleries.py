@@ -346,8 +346,9 @@ def parse_gallery(text: str, rank: int) -> Gallery:
 
     Long galleries repeat a few distinct columns many times, so each distinct
     column string is parsed and checked once.  A malformed column raises
-    `ParseError` for the first one in display order; any other fault is
-    reported by `validate_gallery`, exactly as for the full column list.
+    `ParseError` for the first one in display order; the first faulty
+    column in reading order is the first occurrence of a faulty distinct
+    column, so `validate_gallery` reports the same fault as for them all.
     """
     text = text.strip()
     if not text:
@@ -360,13 +361,8 @@ def parse_gallery(text: str, rank: int) -> Gallery:
             raise ParseError(f"malformed column {chunk!r}")
         parsed[chunk] = tuple(int(piece) for piece in entries)
     columns = tuple(map(parsed.__getitem__, reversed(chunks)))
-    if isinstance(rank, int) and all(
-        0 < len(col) < rank and 1 <= col[0] and col[-1] <= rank
-        and all(x < y for x, y in zip(col, col[1:]))
-        for col in parsed.values()
-    ):
-        return Gallery._unsafe(rank, columns)
-    return validate_gallery(rank, columns)
+    validate_gallery(rank, dict.fromkeys(columns))
+    return Gallery._unsafe(rank, columns)
 
 
 def format_word(letters) -> str:

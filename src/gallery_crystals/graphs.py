@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, product
 from math import comb
 
@@ -43,18 +44,20 @@ class CrystalGraph:
     vertices: frozenset[Gallery]
     edges: frozenset[tuple[Gallery, Gallery, int]]
 
+    @cached_property
+    def _vertex_order(self) -> tuple[Gallery, ...]:
+        return tuple(sorted(self.vertices, key=lambda g: (g.shape, g.columns)))
+
     def sorted_vertices(self) -> list[Gallery]:
-        """Canonical vertex order: lexicographic on (shape, columns in reading order)."""
-        return sorted(self.vertices, key=lambda g: (g.shape, g.columns))
+        """Canonical vertex order: lexicographic on (shape, columns in reading order).
 
-    def sorted_edges(self, index=None) -> list[tuple[Gallery, Gallery, int]]:
-        """Canonical edge order: by source vertex, then by i (f_i(u) is unique).
-
-        ``index`` maps each vertex to its position in `sorted_vertices`; a
-        caller that has numbered the vertices passes it to save a second sort.
+        The graph is immutable, so the order is computed once and reused.
         """
-        if index is None:
-            index = {g: k for k, g in enumerate(self.sorted_vertices())}
+        return list(self._vertex_order)
+
+    def sorted_edges(self) -> list[tuple[Gallery, Gallery, int]]:
+        """Canonical edge order: by source vertex, then by i (f_i(u) is unique)."""
+        index = {g: k for k, g in enumerate(self._vertex_order)}
         return sorted(self.edges, key=lambda edge: (index[edge[0]], edge[2]))
 
     def __len__(self) -> int:

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from gallery_crystals import cli, plactic
 from gallery_crystals.cli import run
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -318,6 +319,31 @@ class TestTooLarge:
         assert time.perf_counter() - start < 1.0
         assert code == 1 and out == ""
         assert json.loads(err)["error"] == "too-large"
+
+    @pytest.mark.parametrize("rank, max_len", [(7, 0), (5, 1), (4, 3), (3, 5)])
+    def test_small_oracle_searches_run(self, capsys, rank, max_len):
+        code, out, err = invoke(
+            capsys, "oracle-classes", "--rank", str(rank), "--max-len", str(max_len)
+        )
+        assert code == 0 and out and err == ""
+
+    def test_oracle_search_just_past_the_limit_rejected(self, capsys):
+        # 17,780 words visited
+        code, _, err = invoke(capsys, "oracle-classes", "--rank", "3", "--max-len", "6")
+        assert code == 1 and json.loads(err)["error"] == "too-large"
+
+    @pytest.mark.parametrize(
+        "rank, max_len", [(1, 5), (2, 9), (2, 10), (3, 4), (4, 3), (4, 4), (5, 2), (7, 0)]
+    )
+    def test_oracle_word_bound_holds(self, monkeypatch, rank, max_len):
+        # The search computes each visited word's Knuth neighbours exactly once.
+        visited = []
+        knuth_neighbors = plactic._knuth_neighbors
+        monkeypatch.setattr(
+            plactic, "_knuth_neighbors", lambda w: visited.append(w) or knuth_neighbors(w)
+        )
+        plactic.oracle_plactic_classes(max_len, rank)
+        assert len(visited) <= cli._oracle_words(max_len, rank)
 
 
 def test_closed_stdout_exits_quietly():
