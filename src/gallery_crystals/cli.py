@@ -24,6 +24,7 @@ import functools
 import json
 import os
 import random
+import re
 import sys
 from itertools import chain
 from math import comb
@@ -73,13 +74,15 @@ def _check_size(count: int, what: str) -> None:
 
 
 def _parse_ints(text: str, what: str) -> tuple[int, ...]:
+    # An optional minus and ASCII digits: int() alone would also take "+2",
+    # "1_0" and other scripts' digits.
     text = text.strip()
     if not text:
         return ()
-    try:
-        return tuple(int(piece) for piece in text.split(","))
-    except ValueError:
+    pieces = [piece.strip() for piece in text.split(",")]
+    if not all(re.fullmatch(r"-?[0-9]+", piece) for piece in pieces):
         raise ParseError(f"malformed {what} {text!r}; expected comma-separated integers")
+    return tuple(int(piece) for piece in pieces)
 
 
 def _shape(args) -> tuple[int, ...]:

@@ -332,9 +332,11 @@ def validate_shape(shape, rank: int) -> Shape:
 # Gallery: display (left-to-right) columns separated by "|", entries within a
 # column separated by ",".  The empty gallery is the empty string.
 # Word: letters separated by spaces or commas; a bare digit string such as
-# "25123" is accepted only when the rank is at most 9.
+# "25123" is accepted only when the rank is at most 9.  Letters are ASCII
+# digits only: ``\d`` would also match other scripts' digits, which int()
+# reads.
 
-_TOKEN = re.compile(r"^\d+$")
+_TOKEN = re.compile(r"^[0-9]+$")
 
 
 def format_gallery(gallery: Gallery) -> str:

@@ -9,8 +9,9 @@ vertex's weight.
 `connected_component` raises a gallery to that source and generates the
 component from it with the f_i alone; `highest_weight_crystal` is the
 component of the dominant tableau.  A gallery is a source exactly when its
-path stays in the dominant chamber, so `decompose` counts the dominant
-galleries of a shape by weight and searches no component.  `is_isomorphic`
+path stays in the dominant chamber, so `dominant_galleries` lists the
+sources of a shape crystal without visiting the rest of it, and `decompose`
+counts them by weight and searches no component.  `is_isomorphic`
 reads the graphs' stored edges.  `enumerate_ssyt` lists the vertex set of
 B(lambda) without any crystal operator, row by row as Gelfand-Tsetlin
 patterns, and serves as the independent check on the crystal side.
@@ -29,7 +30,6 @@ from .galleries import (
     DominantWeight,
     Gallery,
     Shape,
-    is_dominant,
     validate_shape,
     weight,
 )
@@ -81,23 +81,30 @@ class CrystalGraph:
         return len(seen) == len(self.vertices)
 
 
-def highest_weight_vertex(gallery: Gallery) -> Gallery:
+def _raise_to_source(gallery: Gallery) -> tuple[Gallery, list[int]]:
     """Apply raising operators until none applies; smallest index first.
 
-    The endpoint does not depend on the order of application (each step
+    Returns the source reached and the index of each e_i applied, in order.
+    The source does not depend on the order of application (each step
     raises the weight and the component has a unique source); a randomized
     property test enforces this.
     """
     n = gallery.rank
-    current = gallery
+    current, indices = gallery, []
     while True:
         for i in range(1, n):
             raised = e(current, i)
             if raised is not None:
                 current = raised
+                indices.append(i)
                 break
         else:
-            return current
+            return current, indices
+
+
+def highest_weight_vertex(gallery: Gallery) -> Gallery:
+    """The source of the gallery's component: raise until no e_i applies."""
+    return _raise_to_source(gallery)[0]
 
 
 def canonical_dominant_gallery(lam: DominantWeight) -> Gallery:
@@ -222,6 +229,33 @@ def galleries_of_shape(shape: Shape, rank: int):
         yield Gallery._unsafe(rank, cols)
 
 
+def dominant_galleries(shape: Shape, rank: int):
+    """The galleries of the shape whose path stays dominant, in lexicographic order.
+
+    A depth-first search over the columns in reading order, each column's
+    choices in lexicographic order as in `galleries_of_shape`, that drops a
+    prefix as soon as its last vertex leaves the dominant chamber.  The
+    recursion is one level per column; a shape long enough to reach Python's
+    limit has far too many dominant galleries to list.  ``tallies[a]``
+    counts the letter a; ``tallies[0]`` exceeds every count.
+    """
+    shape = validate_shape(shape, rank)
+    alphabets = [tuple(combinations(range(1, rank + 1), d)) for d in shape]
+
+    def extend(prefix, tallies):
+        if len(prefix) == len(alphabets):
+            yield Gallery._unsafe(rank, prefix)
+            return
+        for col in alphabets[len(prefix)]:
+            grown = list(tallies)
+            for a in col:
+                grown[a] += 1
+            if all(grown[a - 1] >= grown[a] for a in col):
+                yield from extend(prefix + (col,), grown)
+
+    yield from extend((), [len(shape) + 1] + [0] * rank)
+
+
 def count_galleries(shape: Shape, rank: int) -> int:
     shape = validate_shape(shape, rank)
     total = 1
@@ -264,9 +298,8 @@ def decompose(shape: Shape, rank: int) -> Decomposition:
     """
     shape = validate_shape(shape, rank)
     reps: dict[DominantWeight, list[Gallery]] = {}
-    for gallery in galleries_of_shape(shape, rank):
-        if is_dominant(gallery):
-            reps.setdefault(weight(gallery).to_dominant_weight(), []).append(gallery)
+    for gallery in dominant_galleries(shape, rank):
+        reps.setdefault(weight(gallery).to_dominant_weight(), []).append(gallery)
     entries = tuple(
         DecompositionEntry(lam=lam, multiplicity=len(tops), representatives=tuple(tops))
         for lam, tops in sorted(reps.items(), key=lambda item: item[0].coeffs)

@@ -5,13 +5,19 @@ together with a semistandard Young tableau of shape underline(lambda).  The
 map sends a gallery to the label of its plactic normal form; its fiber over
 a label, within a fixed shape, is the plactic class of the label's tableau
 intersected with that shape.
+
+Word reading, and so `normal_form`, maps each component of a shape crystal
+isomorphically onto B(lambda), lambda the weight of its dominant gallery.  So
+`fiber` takes each dominant gallery of weight lambda by f-moves to one fiber
+member, and `verify_surjectivity` normalises one component per lambda; their
+brute-force versions over the whole shape are test oracles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvalidLabel
+from .errors import InvalidLabel, RankMismatch
 from .galleries import (
     DominantWeight,
     Gallery,
@@ -21,7 +27,14 @@ from .galleries import (
     validate_shape,
     weight,
 )
-from .graphs import decompose, enumerate_ssyt, galleries_of_shape
+from .graphs import (
+    _raise_to_source,
+    connected_component,
+    decompose,
+    dominant_galleries,
+    enumerate_ssyt,
+)
+from .operators import f
 from .plactic import is_ssyt, normal_form
 
 
@@ -67,14 +80,25 @@ def mv_label(gallery: Gallery) -> MVLabel:
 
 
 def fiber(label: MVLabel, shape: Shape, rank: int | None = None) -> tuple[Gallery, ...]:
-    """All galleries of the shape whose normal form is the label's tableau."""
+    """All galleries of the shape whose normal form is the label's tableau.
+
+    The e-moves that raise the tableau to the top of B(lambda), replayed in
+    reverse as f-moves, take each dominant gallery of weight lambda to the
+    fiber's one gallery in its component.  Sorted by (shape, columns).  A
+    ``rank`` other than the tableau's raises `RankMismatch`.
+    """
     n = label.tableau.rank if rank is None else rank
+    if n != label.tableau.rank:
+        raise RankMismatch(f"label rank {label.tableau.rank} and rank {n} differ")
     shape = validate_shape(shape, n)
-    hits = [
-        gallery
-        for gallery in galleries_of_shape(shape, n)
-        if normal_form(gallery) == label.tableau
-    ]
+    top, raised_by = _raise_to_source(label.tableau)
+    top_weight = weight(top)
+    hits = []
+    for gallery in dominant_galleries(shape, n):
+        if weight(gallery) == top_weight:
+            for i in reversed(raised_by):
+                gallery = f(gallery, i)
+            hits.append(gallery)
     return tuple(sorted(hits, key=lambda g: (g.shape, g.columns)))
 
 
@@ -96,19 +120,21 @@ class SurjectivityReport:
 def verify_surjectivity(shape: Shape, rank: int) -> SurjectivityReport:
     """Check that every tableau of every weight in the image is hit.
 
-    For each lambda in the image of the shape, the tableaux of shape
-    underline(lambda) are enumerated directly (no crystal operators) and
-    compared against the normal forms realized by the shape's galleries.
+    For each lambda in the image of the shape, the component of its first
+    dominant gallery is generated and normalised, and the tableaux of shape
+    underline(lambda), enumerated without crystal operators, are looked up
+    among its normal forms.  So one component alone must cover B(lambda).
     """
     shape = validate_shape(shape, rank)
-    hit: set[Gallery] = {normal_form(g) for g in galleries_of_shape(shape, rank)}
     misses: list[tuple[DominantWeight, Gallery]] = []
     checked = 0
-    for lam in image_weights(shape, rank):
-        for tableau in enumerate_ssyt(lam.column_shape(), rank):
+    for entry in decompose(shape, rank).entries:
+        component = connected_component(entry.representatives[0])
+        hit = {normal_form(g) for g in component.vertices}
+        for tableau in enumerate_ssyt(entry.lam.column_shape(), rank):
             checked += 1
             if tableau not in hit:
-                misses.append((lam, tableau))
+                misses.append((entry.lam, tableau))
     return SurjectivityReport(
         ok=not misses,
         shape=shape,

@@ -59,12 +59,6 @@ def _rows_to_gallery(rows: list[list[int]], rank: int) -> Gallery:
     return Gallery(rank, tuple(reversed(display)))
 
 
-def _gallery_to_rows(gallery: Gallery) -> list[list[int]]:
-    display = tuple(reversed(gallery.columns))
-    depth = max((len(col) for col in display), default=0)
-    return [[col[t] for col in display if t < len(col)] for t in range(depth)]
-
-
 def rsk_insert(letters, rank: int) -> Gallery:
     """Schensted row insertion of the letters, taken last to first.
 

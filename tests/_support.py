@@ -12,11 +12,15 @@ from gallery_crystals import (
     DominantWeight,
     Gallery,
     ParseError,
+    SurjectivityReport,
     connected_component,
     e,
+    enumerate_ssyt,
     f,
     galleries_of_shape,
     highest_weight_vertex,
+    image_weights,
+    normal_form,
     parse_gallery,
     validate_gallery,
     weight,
@@ -38,7 +42,7 @@ def columnwise_parse_gallery(text: str, rank: int) -> Gallery:
     display = []
     for chunk in text.split("|"):
         entries = [piece.strip() for piece in chunk.split(",")]
-        if any(not re.match(r"^\d+$", piece) for piece in entries):
+        if any(not re.match(r"^[0-9]+$", piece) for piece in entries):
             raise ParseError(f"malformed column {chunk!r}")
         display.append(tuple(int(piece) for piece in entries))
     return validate_gallery(rank, tuple(reversed(display)))
@@ -140,6 +144,39 @@ def component_decomposition(shape: Shape, rank: int) -> Decomposition:
         for lam, tops in sorted(reps.items(), key=lambda item: item[0].coeffs)
     )
     return Decomposition(rank=rank, shape=shape, entries=entries, total=total)
+
+
+def shapewise_fibers(shape: Shape, rank: int) -> dict[Gallery, tuple[Gallery, ...]]:
+    """Reference for `fiber`: every gallery of the shape normalised and grouped
+    by normal form, so the fiber of a label is its tableau's group (empty if
+    absent).  Galleries of one shape come in lexicographic order, so each group
+    is sorted by (shape, columns) as `fiber` sorts it.  One pass serves every
+    label of the shape."""
+    groups: dict[Gallery, list[Gallery]] = {}
+    for gallery in galleries_of_shape(shape, rank):
+        groups.setdefault(normal_form(gallery), []).append(gallery)
+    return {tableau: tuple(members) for tableau, members in groups.items()}
+
+
+def shapewise_surjectivity(shape: Shape, rank: int) -> SurjectivityReport:
+    """Reference for `verify_surjectivity`: the normal forms of every gallery of
+    the shape must cover the tableaux of every lambda in the image."""
+    shape = validate_shape(shape, rank)
+    hit: set[Gallery] = {normal_form(g) for g in galleries_of_shape(shape, rank)}
+    misses: list[tuple[DominantWeight, Gallery]] = []
+    checked = 0
+    for lam in image_weights(shape, rank):
+        for tableau in enumerate_ssyt(lam.column_shape(), rank):
+            checked += 1
+            if tableau not in hit:
+                misses.append((lam, tableau))
+    return SurjectivityReport(
+        ok=not misses,
+        shape=shape,
+        rank=rank,
+        labels_checked=checked,
+        misses=tuple(misses),
+    )
 
 
 def naive_epsilon(gallery: Gallery, i: int) -> int:

@@ -298,6 +298,41 @@ class TestRepeatedRuns:
         assert built == []
 
 
+class TestStrictNumbers:
+    # int() reads each of these as a number: "\u0661" is an Arabic-Indic one,
+    # "1_0" is 10 and "+2" is 2.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["validate", "--rank", "3", "\u0661|\u0662"],
+            ["from-word", "--rank", "3", "\u0661\u0662"],
+            ["decompose", "--rank", "3", "--shape", "1_0"],
+            ["blambda", "--rank", "3", "--lambda", "+2,0"],
+            ["blambda", "--rank", "3", "--lambda", "\u0661,0"],
+        ],
+    )
+    def test_parse_error(self, capsys, argv):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "parse-error"
+
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (["blambda", "--rank", "3", "--lambda= -1, 0"], "not-dominant"),
+            (["decompose", "--rank", "3", "--shape=-1"], "shape-invalid"),
+        ],
+    )
+    def test_negative_values_keep_their_codes(self, capsys, argv, error):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == error
+
+    def test_spaces_around_numbers_allowed(self, capsys):
+        code, out, _ = invoke(capsys, "image-weights", "--rank", "3", "--shape", " 1 , 1 ")
+        assert code == 0 and out == "0,1 -> 1\n2,0 -> 1\n"
+
+
 class TestTooLarge:
     EIGHT_DOMINOES = "2,2,2,2,2,2,2,2"  # 10^8 galleries at rank 5
 

@@ -88,6 +88,11 @@ class TestValidateGallery:
         with pytest.raises(ParseError):
             parse_gallery("1||2", 3)
 
+    def test_parse_rejects_non_ascii_digits(self):
+        # Arabic-Indic digits one, two, three: int() reads them, the format does not.
+        with pytest.raises(ParseError):
+            parse_gallery("\u0661,\u0662|\u0663", 3)
+
 
 class TestWord:
     def test_star(self):
@@ -301,6 +306,12 @@ class TestTextFormats:
         assert parse_word("2,5,1,2,3", 5) == (2, 5, 1, 2, 3)
         assert parse_word("25123", 5) == (2, 5, 1, 2, 3)
         assert parse_word("", 5) == ()
+
+    def test_word_rejects_non_ascii_digits(self):
+        with pytest.raises(ParseError):
+            parse_word("\u0661\u0662", 3)
+        with pytest.raises(ParseError):
+            parse_word("1 \u0662", 3)
 
     def test_compact_form_needs_small_rank(self):
         # With rank >= 10 a bare digit string is a single letter.

@@ -10,6 +10,7 @@ from gallery_crystals import (
     connected_component,
     count_galleries,
     decompose,
+    dominant_galleries,
     e,
     empty_gallery,
     enumerate_ssyt,
@@ -254,6 +255,15 @@ class TestDecompose:
     def test_invalid_shape(self):
         with pytest.raises(ShapeInvalid):
             decompose((3,), 3)
+
+    def test_dominant_galleries_filter_the_shape(self):
+        cases = [(shape, rank) for rank in (2, 3, 4) for shape in shapes_up_to(6, rank - 1)]
+        cases += [(shape, 5) for shape in shapes_up_to(5, 4)]
+        cases += [(shape, 6) for shape in shapes_up_to(4, 5)]
+        assert ((), 2) in cases
+        for shape, rank in cases:
+            expected = list(filter(is_dominant, galleries_of_shape(shape, rank)))
+            assert list(dominant_galleries(shape, rank)) == expected, (shape, rank)
 
     def test_matches_component_search(self):
         cases = [(shape, rank) for rank in (2, 3, 4) for shape in shapes_up_to(6, rank - 1)]

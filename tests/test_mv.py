@@ -5,7 +5,9 @@ import pytest
 from gallery_crystals import (
     DominantWeight,
     InvalidLabel,
+    RankMismatch,
     WeightVector,
+    canonical_dominant_gallery,
     connected_component,
     empty_gallery,
     f,
@@ -20,7 +22,14 @@ from gallery_crystals import (
     verify_surjectivity,
     weight,
 )
-from _support import G, shapes_up_to
+from _support import G, shapes_up_to, shapewise_fibers, shapewise_surjectivity
+
+# Every shape of ranks 2-4 up to 6 boxes, of rank 5 up to 5 and of rank 6 up to 4.
+ORACLE_CASES = [
+    (shape, rank)
+    for rank, boxes in ((2, 6), (3, 6), (4, 6), (5, 5), (6, 4))
+    for shape in shapes_up_to(boxes, rank - 1)
+]
 
 
 class TestMvLabel:
@@ -74,6 +83,28 @@ class TestFiber:
         for g in fiber(label, (2, 1)):
             assert normal_form(g) == label.tableau
 
+    def test_rank_mismatch(self):
+        label = make_label(DominantWeight((1, 1)), G("1,2|1", 3))
+        with pytest.raises(RankMismatch):
+            fiber(label, (1, 1, 1), 4)
+        assert fiber(label, (1, 1, 1), 3) == fiber(label, (1, 1, 1))
+
+    @pytest.mark.parametrize("rank", [2, 3, 4, 5, 6])
+    def test_matches_shapewise_oracle(self, rank):
+        # Every label of every shape, whole tuples in order.  The top label of
+        # each lambda met at this rank is also asked of every shape with as
+        # many boxes modulo the rank, so labels outside a shape's image must
+        # give an empty fiber.
+        cases = [(shape, shapewise_fibers(shape, rank)) for shape, n in ORACLE_CASES if n == rank]
+        tops = {mv_label(canonical_dominant_gallery(mv_label(t).lam))
+                for _, fibers in cases for t in fibers}
+        for shape, fibers in cases:
+            for tableau, members in fibers.items():
+                assert fiber(mv_label(members[0]), shape, rank) == members, (shape, tableau)
+            for label in tops:
+                if sum(label.tableau.shape) % rank == sum(shape) % rank:
+                    assert fiber(label, shape, rank) == fibers.get(label.tableau, ()), shape
+
 
 class TestImageWeights:
     def test_three_boxes(self):
@@ -104,6 +135,10 @@ class TestSurjectivity:
     def test_two_columns(self):
         report = verify_surjectivity((2, 2), 3)
         assert report.ok
+
+    def test_matches_shapewise_oracle(self):
+        for shape, rank in ORACLE_CASES:
+            assert verify_surjectivity(shape, rank) == shapewise_surjectivity(shape, rank)
 
 
 class TestMorphismAndInjectivity:
