@@ -83,7 +83,8 @@ def path_document(gallery: Gallery) -> dict:
     }
 
 
-# Plane projection for rank 3: unit hexagonal directions.
+# Plane projection for rank 3: unit hexagonal directions, drawn _SCALE pixels long.
+_SCALE = 60.0
 _DIRECTIONS = (
     (0.5, 0.8660254037844386),  # epsilon_1 at 60 degrees
     (-1.0, 0.0),  # epsilon_2 at 180 degrees
@@ -97,19 +98,19 @@ def _project(point: tuple[int, ...]) -> tuple[float, float]:
     return x, y
 
 
-def path_svg(gallery: Gallery, scale: float = 60.0) -> str:
+def path_svg(gallery: Gallery) -> str:
     """SVG plot of the gallery path with the dominant chamber shaded (rank 3)."""
     if gallery.rank != 3:
         raise SvgRankUnsupported(f"SVG plots are defined for rank 3, not {gallery.rank}")
     points = [_project(v) for v in path_vertices(gallery)]
     reach = max(max(abs(x), abs(y)) for x, y in points)
     reach = max(reach + 1.0, 2.0)
-    size = 2 * reach * scale
+    size = 2 * reach * _SCALE
     half = size / 2
 
     def at(p: tuple[float, float]) -> str:
         # SVG y axis points down.
-        return f"{half + scale * p[0]:.2f},{half - scale * p[1]:.2f}"
+        return f"{half + _SCALE * p[0]:.2f},{half - _SCALE * p[1]:.2f}"
 
     omega1 = (0.5 * reach * 2, 0.8660254037844386 * reach * 2)
     omega2 = (-0.5 * reach * 2, 0.8660254037844386 * reach * 2)

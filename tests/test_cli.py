@@ -1,8 +1,11 @@
 """Command line interface: dispatch, formats, exit codes, determinism."""
 
 import argparse
+import hashlib
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import time
@@ -11,9 +14,11 @@ from pathlib import Path
 import pytest
 
 from gallery_crystals import cli, plactic
+from gallery_crystals.affine import AffineRoot, WallCheck
 from gallery_crystals.cli import run
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 
 def invoke(capsys, *argv):
@@ -210,6 +215,14 @@ class TestErrorsAndDeterminism:
     def test_unknown_command(self, capsys):
         assert invoke(capsys, "frobnicate", "--rank", "3")[0] == 2
 
+    @pytest.mark.parametrize("rank", ["1", "0", "-3"])
+    def test_oracle_classes_needs_rank_two(self, capsys, rank):
+        code, out, err = invoke(capsys, "oracle-classes", "--rank", rank, "--max-len", "3")
+        assert code == 1 and out == ""
+        assert json.loads(err) == {
+            "error": "invalid-rank", "message": f"rank must be an integer >= 2, got {rank}"
+        }
+
     def test_byte_determinism(self, capsys):
         args = ("decompose", "--rank", "3", "--format", "json", "--shape", "2,1")
         first = invoke(capsys, *args)
@@ -332,6 +345,30 @@ class TestStrictNumbers:
         code, out, _ = invoke(capsys, "image-weights", "--rank", "3", "--shape", " 1 , 1 ")
         assert code == 0 and out == "0,1 -> 1\n2,0 -> 1\n"
 
+    # One request per integer option.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["validate", "--rank", "\u0663", "1|2"],
+            ["signature", "--rank", "3", "--i", "1_0", "1|2"],
+            ["apply", "--rank", "3", "--op", "f", "--i", "1", "--times", "\u0662", "1|1"],
+            ["oracle-classes", "--rank", "3", "--max-len", "+2"],
+            ["appendix-check", "--rank", "3", "--seed", "\u0661"],
+            ["appendix-check", "--rank", "3", "--seed", "1", "--cases", "1_0"],
+        ],
+    )
+    def test_integer_option_usage_error(self, capsys, argv):
+        code, out, _ = invoke(capsys, *argv)
+        assert code == 2 and out == ""
+
+    def test_integer_options_keep_minus_and_spaces(self, capsys):
+        argv = ("appendix-check", "--rank", " 3 ", "--seed=-3", "--cases", " 2")
+        expected = "disjoint: true\nstabilizer: true\nrandom: 2/2 ok\n"
+        assert invoke(capsys, *argv) == (0, expected, "")
+        code, out, err = invoke(capsys, "signature", "--rank", "3", "--i", "-1", "1")
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "index-out-of-range"
+
 
 class TestTooLarge:
     EIGHT_DOMINOES = "2,2,2,2,2,2,2,2"  # 10^8 galleries at rank 5
@@ -396,3 +433,145 @@ def test_closed_stdout_exits_quietly():
     proc.stderr.close()
     assert proc.wait(timeout=60) == 141
     assert err == b""
+
+
+# One request per subcommand and --format value, then inputs the benchmark's
+# cli-session never sends: empty galleries, shapes and fibers, counts of 0.
+GOLDEN_REQUESTS = """
+validate --rank 5 3|1,2|5|2
+validate --rank 5 --format json 3|1,2|5|2
+word --rank 5 3|1,2|5|2
+word --rank 5 --format json 3|1,2|5|2
+from-word --rank 3 "1 3 2"
+concat --rank 3 1,2 1
+weight --rank 3 1,2|1
+weight --rank 3 --format json 1,2|1
+dominant --rank 3 2|3|1
+dominant --rank 3 --format json 1,2|1
+signature --rank 5 --i 2 3|1,2|5|2
+signature --rank 5 --i 2 --format json 3|1,2|5|2
+apply --rank 5 --op f --i 2 3|1,2|5|2
+apply --rank 5 --op e --i 1 --times 2 --format json 2|2,3|1
+normal-form --rank 3 1|2|1|3|2|1
+equivalent --rank 5 3|1,2|5|2 3|2|1|5|2
+equivalent --rank 3 --format json 1|2 2|1
+oracle-classes --rank 3 --max-len 2
+oracle-classes --rank 2 --max-len 3 --format json
+component --rank 3 1,2|1
+component --rank 3 --format json 1,2|1
+component --rank 3 --format dot 2|1
+blambda --rank 3 --lambda 1,1
+blambda --rank 4 --lambda 0,1,0 --format json
+blambda --rank 3 --lambda 2,0 --format dot
+decompose --rank 3 --shape 2,1
+decompose --rank 4 --shape 1,2,1 --format json
+phi --rank 4 2|1,3|4
+phi --rank 4 --format json 2|1,3|4
+fiber --rank 3 --lambda 1,1 --tableau 1,2|1 --shape 1,1,1
+fiber --rank 3 --lambda 1,1 --tableau 1,2|1 --shape 2,1 --format json
+image-weights --rank 3 --shape 2,1
+image-weights --rank 4 --shape 1,1,2 --format json
+crossings --rank 3 3|2|1
+crossings --rank 4 --format json 1,3|2,4|1
+appendix-check --rank 3 --gamma 1|1 --delta 2
+appendix-check --rank 4 --gamma 1,2 --delta 3|4 --seed 7 --cases 20 --format json
+path --rank 3 1,2|1
+path --rank 4 --format json 1,2|3
+path --rank 3 --format svg 2|3|1
+validate --rank 3 ""
+validate --rank 3 --format json ""
+word --rank 3 ""
+word --rank 3 --format json ""
+from-word --rank 3 ""
+concat --rank 3 "" ""
+weight --rank 3 ""
+weight --rank 3 --format json ""
+dominant --rank 3 ""
+dominant --rank 3 --format json ""
+signature --rank 3 --i 1 ""
+signature --rank 3 --i 1 --format json ""
+apply --rank 3 --op f --i 1 ""
+apply --rank 3 --op f --i 1 --format json ""
+apply --rank 2 --op f --i 1 --times 0 1|1
+apply --rank 3 --op e --i 2 --times 0 ""
+normal-form --rank 3 ""
+equivalent --rank 3 "" ""
+equivalent --rank 3 --format json "" ""
+component --rank 3 ""
+component --rank 3 --format json ""
+component --rank 3 --format dot ""
+phi --rank 3 ""
+phi --rank 3 --format json ""
+crossings --rank 3 ""
+crossings --rank 3 --format json ""
+path --rank 3 ""
+path --rank 3 --format json ""
+path --rank 3 --format svg ""
+appendix-check --rank 3
+appendix-check --rank 3 --format json --seed 3 --cases 0
+blambda --rank 3 --lambda 0,0 --format dot
+oracle-classes --rank 4 --max-len 0
+decompose --rank 3 --shape ""
+decompose --rank 3 --shape "" --format json
+image-weights --rank 3 --shape ""
+image-weights --rank 3 --shape "" --format json
+fiber --rank 3 --lambda 0,0 --tableau "" --shape ""
+fiber --rank 3 --lambda 0,0 --tableau "" --shape "" --format json
+fiber --rank 3 --lambda 1,1 --tableau 1,2|1 --shape 1
+fiber --rank 3 --lambda 1,1 --tableau 1,2|1 --shape 1 --format json
+"""
+# sha256 over each request line, its exit code and its stdout
+GOLDEN_SHA256 = "f05ee23d38f85b227d2661cabf26dd21b81244f9ec0e60b93b7ae1cbf9ab776e"
+
+
+class TestGolden:
+    def test_outputs_unchanged(self, capsys):
+        digest = hashlib.sha256()
+        for line in GOLDEN_REQUESTS.strip().splitlines():
+            code, out, _ = invoke(capsys, *shlex.split(line))
+            digest.update(f"{line}\n{code}\n{out}\n".encode())
+        assert digest.hexdigest() == GOLDEN_SHA256
+
+    def test_failing_splice_witnesses(self, capsys, monkeypatch):
+        # The staircase splice never fails on real galleries, so the report's
+        # failure fields are reached with stand-in checks.
+        root = AffineRoot(1, 3, 2)
+        disjoint, stabilizer = WallCheck(False, (0, 2, root)), WallCheck(False, (1, root))
+        monkeypatch.setattr(cli, "splice_disjointness", lambda gamma, delta: disjoint)
+        monkeypatch.setattr(cli, "stabilizer_condition", lambda gamma, delta: stabilizer)
+        argv = ("appendix-check", "--rank", "3", "--seed", "5", "--cases", "4")
+        assert invoke(capsys, *argv) == (
+            0, "disjoint: false\nstabilizer: false\nrandom: 0/4 ok\n", ""
+        )
+        code, out, err = invoke(capsys, *argv, "--format", "json")
+        assert (code, err) == (0, "")
+        assert out == json.dumps(
+            {
+                "disjoint": False,
+                "stabilizer": False,
+                "disjoint_witness": {"segments": [0, 2], "root": {"a": 1, "b": 3, "m": 2}},
+                "stabilizer_witness": {"segment": 1, "root": {"a": 1, "b": 3, "m": 2}},
+                "random_cases": 4,
+                "random_failures": 4,
+            },
+            indent=2,
+        ) + "\n"
+
+
+def readme_examples() -> list[str]:
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Command line\n.*?```sh\n(.*?)```", readme, re.S).group(1)
+    return [line for line in block.splitlines() if line.startswith("gallery-crystals ")]
+
+
+@pytest.mark.parametrize("line", readme_examples())
+def test_readme_example(capsys, line):
+    # "command  # first output line  (a remark)"; a "> file" redirect is dropped.
+    command, _, comment = line.partition("#")
+    argv = shlex.split(command)[1:]
+    if ">" in argv:
+        argv = argv[: argv.index(">")]
+    code, out, err = invoke(capsys, *argv)
+    assert code == 0 and err == ""
+    if comment.strip():
+        assert out.splitlines()[0] == comment.strip().split("  ")[0]
