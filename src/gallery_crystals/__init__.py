@@ -8,6 +8,8 @@ cycle labeling map with its fibers, and affine wall-crossing bookkeeping
 along gallery paths.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     BrokenColumn,
     ColumnTooLong,
@@ -90,10 +92,10 @@ from .mv import (
 from .affine import (
     AffineRoot,
     WallCheck,
-    splice_disjointness,
     crossing_sets,
     positive_roots,
     random_gallery,
+    splice_disjointness,
     spliced_gallery,
     stabilizer_condition,
     staircase_gallery,
@@ -102,82 +104,9 @@ from .affine import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AffineRoot",
-    "BrokenColumn",
-    "ColumnTooLong",
-    "CrystalGraph",
-    "Decomposition",
-    "DecompositionEntry",
-    "DominantWeight",
-    "Gallery",
-    "GalleryError",
-    "IndexOutOfRange",
-    "InvalidLabel",
-    "InvalidRank",
-    "LetterNotInteger",
-    "LetterOutOfRange",
-    "MVLabel",
-    "NonIncreasingColumn",
-    "NotConnected",
-    "NotDominant",
-    "ParseError",
-    "RankMismatch",
-    "ShapeInvalid",
-    "SurjectivityReport",
-    "SvgRankUnsupported",
-    "Tag",
-    "TooLarge",
-    "WallCheck",
-    "WeightVector",
-    "splice_disjointness",
-    "canonical_dominant_gallery",
-    "concat",
-    "connected_component",
-    "count_galleries",
-    "crossing_sets",
-    "decompose",
-    "dominance_leq",
-    "dominant_galleries",
-    "e",
-    "empty_gallery",
-    "enumerate_ssyt",
-    "epsilon",
-    "equivalent",
-    "f",
-    "fiber",
-    "format_gallery",
-    "format_word",
-    "galleries_of_shape",
-    "gallery_from_word",
-    "highest_weight_crystal",
-    "highest_weight_vertex",
-    "i_signature",
-    "image_weights",
-    "is_dominant",
-    "is_isomorphic",
-    "is_ssyt",
-    "make_label",
-    "mv_label",
-    "normal_form",
-    "oracle_plactic_classes",
-    "pairing",
-    "parse_gallery",
-    "parse_word",
-    "path_vertices",
-    "phi",
-    "positive_roots",
-    "random_gallery",
-    "rsk_insert",
-    "spliced_gallery",
-    "stabilizer_condition",
-    "staircase_gallery",
-    "strip_full_columns",
-    "validate_gallery",
-    "validate_shape",
-    "verify_surjectivity",
-    "weight",
-    "weight_of_full_column_word",
-    "weyl_dimension",
-    "word",
-]
+# The public names are exactly those the imports above bind: not the
+# submodules (bound as a side effect of importing them), not private names.
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

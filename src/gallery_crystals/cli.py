@@ -16,11 +16,12 @@ that parses them and calls the library, and one renderer per --format
 value, each turning the computed result into output lines.  Text and JSON
 output render the same document, so each field is computed in one place.
 
-The argparse tree is built from the table once per process, on the first
-`run`, and reused: building it costs several times more than parsing a
-typical request.  Reuse is safe because `parse_args` returns a fresh
-namespace on every call and looks up ``sys.stdout``/``sys.stderr`` only when
-it writes help or an error.
+`build_parser` is cached: the argparse tree is built from the table once
+per process, on the first `run`, and reused, since building it costs
+several times more than parsing a typical request.  Reuse is safe because
+`parse_args` returns a fresh namespace on every call and looks up
+``sys.stdout``/``sys.stderr`` only when it writes help or an error.  `run`
+checks --rank once, before any subcommand computes.
 """
 
 from __future__ import annotations
@@ -42,8 +43,8 @@ from .errors import GalleryError, ParseError, TooLarge
 from .galleries import (
     DominantWeight,
     Gallery,
+    _check_rank,
     concat,
-    empty_gallery,
     format_gallery,
     format_word,
     gallery_from_word,
@@ -123,10 +124,11 @@ def _oracle_words(max_len: int, rank: int) -> int:
     positions.  So at most C(L - 1, rank - 1) * rank**(L - rank) words of
     length L are visited.
     """
-    n = max(rank, 1)
-    counts = (n**length for length in range(max_len + 1))
-    longer = range(max(max_len + 1, n), max_len + n + 1)
-    counts = chain(counts, (comb(length - 1, n - 1) * n ** (length - n) for length in longer))
+    counts = (rank**length for length in range(max_len + 1))
+    longer = range(max(max_len + 1, rank), max_len + rank + 1)
+    counts = chain(
+        counts, (comb(length - 1, rank - 1) * rank ** (length - rank) for length in longer)
+    )
     # Every term is at least 1, so this stops within SIZE_LIMIT + 1 terms.
     words = 0
     for count in counts:
@@ -156,7 +158,6 @@ def _apply(args) -> dict:
 
 
 def _oracle_classes(args) -> list:
-    empty_gallery(args.rank)  # the rank check every gallery makes
     _check_size(_oracle_words(args.max_len, args.rank), "words")
     return [[list(w) for w in cls] for cls in oracle_plactic_classes(args.max_len, args.rank)]
 
@@ -363,6 +364,7 @@ COMMANDS = (
 )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--rank", type=_int, required=True, help="alphabet size n (>= 2)")
@@ -383,17 +385,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# `run` shares one parser; `build_parser` still returns a new one to its callers.
-_shared_parser = functools.cache(build_parser)
-
-
 def run(argv=None) -> int:
-    parser = _shared_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
+        _check_rank(args.rank)
         lines = args.row.formats[args.format](args.row.compute(args))
         text = "".join(f"{line}\n" for line in lines)
     except GalleryError as exc:

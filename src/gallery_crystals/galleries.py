@@ -49,6 +49,11 @@ def _plain_ints(values, error=LetterNotInteger, what="letter") -> tuple[int, ...
     return values
 
 
+def _check_rank(rank) -> None:
+    if not isinstance(rank, int) or rank < 2:
+        raise InvalidRank(f"rank must be an integer >= 2, got {rank!r}")
+
+
 @dataclass(frozen=True)
 class Gallery:
     """A filling of a column arrangement, columns in reading order.
@@ -65,8 +70,7 @@ class Gallery:
     columns: tuple[tuple[int, ...], ...] = ()
 
     def __post_init__(self) -> None:
-        if not isinstance(self.rank, int) or self.rank < 2:
-            raise InvalidRank(f"rank must be an integer >= 2, got {self.rank!r}")
+        _check_rank(self.rank)
         cols = tuple(tuple(col) for col in self.columns)
         if any(type(a) is not int for col in cols for a in col):
             cols = tuple(_plain_ints(col) for col in cols)
@@ -191,8 +195,7 @@ class WeightVector:
 
     def __post_init__(self) -> None:
         counts = _plain_ints(self.counts, what="letter count")
-        if len(counts) < 2:
-            raise InvalidRank("weight vectors need at least 2 coordinates")
+        _check_rank(len(counts))
         object.__setattr__(self, "counts", _shift_to_zero(counts))
 
     @classmethod
@@ -279,8 +282,7 @@ class DominantWeight:
 
     def __post_init__(self) -> None:
         coeffs = _plain_ints(self.coeffs, NotDominant, "fundamental coordinate")
-        if not coeffs:
-            raise InvalidRank("dominant weights need at least one fundamental coordinate")
+        _check_rank(len(coeffs) + 1)
         if any(m < 0 for m in coeffs):
             raise NotDominant(f"fundamental coordinates {coeffs} must be nonnegative")
         object.__setattr__(self, "coeffs", coeffs)
@@ -319,7 +321,8 @@ class DominantWeight:
 
 
 def validate_shape(shape, rank: int) -> Shape:
-    """Check a reading-order shape: every entry an int in 1..rank-1."""
+    """Check a reading-order shape: every entry an int in 1..rank-1, rank >= 2."""
+    _check_rank(rank)
     out = _plain_ints(shape, ShapeInvalid, "column length")
     for d in out:
         if not 1 <= d <= rank - 1:

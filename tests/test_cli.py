@@ -198,6 +198,64 @@ class TestStructuredOutput:
         assert out.startswith("<svg ") and "<polyline" in out and "polygon" in out
 
 
+# The least each subcommand takes: every gallery, word, shape and lambda empty.
+EMPTY_ARGV = {
+    "validate": [""],
+    "word": [""],
+    "from-word": [""],
+    "concat": ["", ""],
+    "weight": [""],
+    "dominant": [""],
+    "signature": ["--i", "1", ""],
+    "apply": ["--op", "f", "--i", "1", ""],
+    "normal-form": [""],
+    "equivalent": ["", ""],
+    "oracle-classes": ["--max-len", "0"],
+    "component": [""],
+    "blambda": ["--lambda", ""],
+    "decompose": ["--shape", ""],
+    "phi": [""],
+    "fiber": ["--lambda", "", "--tableau", "", "--shape", ""],
+    "image-weights": ["--shape", ""],
+    "crossings": [""],
+    "appendix-check": [],
+    "path": [""],
+}
+
+# Small valid and malformed requests of each subcommand; which are valid
+# depends on the rank they are sent with.
+SWEEP_ARGV = {
+    "validate": [["1|2"], ["3|1,2|5|2"], ["2,1"], ["1,x"], ["1||2"], ["1,2,3"]],
+    "word": [["3|1,2"], ["1,,2"], ["0"]],
+    "from-word": [["1 2 1"], ["123"], ["1x"], ["12 0"]],
+    "concat": [["1", "2"], ["1", "x"], ["2,1", ""]],
+    "weight": [["1|2"], ["1,2,3"], ["a"]],
+    "dominant": [["1|2"], ["2|1"], ["-1"]],
+    "signature": [["--i", "1", "1|2"], ["--i", "0", "1"], ["--i", "9", "1"], ["--i", "x", "1"]],
+    "apply": [["--op", "e", "--i", "1", "--times", "2", "2|1"], ["--op", "f", "--i", "3", "1"],
+              ["--op", "g", "--i", "1", "1"], ["--op", "f", "--i", "1", "--times", "-1", "1"]],
+    "normal-form": [["2|1|3"], ["1,1"]],
+    "equivalent": [["1|2", "2|1"], ["1", ","]],
+    "oracle-classes": [["--max-len", "2"], ["--max-len", "-1"], ["--max-len", "x"]],
+    "component": [["2|1"], ["1,2,3,4"], ["x|"]],
+    "blambda": [["--lambda", "1"], ["--lambda", "1,0"], ["--lambda", "0,1,1"],
+                ["--lambda", "-1,0"], ["--lambda", "a"]],
+    "decompose": [["--shape", "1,1"], ["--shape", "2,1"], ["--shape", "0"],
+                  ["--shape", "1,,1"], ["--shape", "4"]],
+    "phi": [["3|1,2"], ["2,2"]],
+    "fiber": [["--lambda", "1", "--tableau", "1", "--shape", "1"],
+              ["--lambda", "1,0", "--tableau", "1", "--shape", "1"],
+              ["--lambda", "0,1", "--tableau", "1", "--shape", "1"],
+              ["--lambda", "x", "--tableau", "1", "--shape", "1"],
+              ["--lambda", "1", "--tableau", "2,1", "--shape", "1"]],
+    "image-weights": [["--shape", "1,2"], ["--shape", "1"], ["--shape", "-1"], ["--shape", "x"]],
+    "crossings": [["3|1,2"], ["1,"]],
+    "appendix-check": [["--gamma", "1|2", "--delta", "2", "--seed", "1", "--cases", "3"],
+                       ["--gamma", "x"], ["--seed", "x"]],
+    "path": [["1|2|3"], ["3,3"]],
+}
+
+
 class TestErrorsAndDeterminism:
     def test_domain_error_json(self, capsys):
         code, out, err = invoke(capsys, "validate", "--rank", "3", "2,1")
@@ -215,13 +273,39 @@ class TestErrorsAndDeterminism:
     def test_unknown_command(self, capsys):
         assert invoke(capsys, "frobnicate", "--rank", "3")[0] == 2
 
-    @pytest.mark.parametrize("rank", ["1", "0", "-3"])
-    def test_oracle_classes_needs_rank_two(self, capsys, rank):
-        code, out, err = invoke(capsys, "oracle-classes", "--rank", rank, "--max-len", "3")
+    @pytest.mark.parametrize(
+        "command, rank",
+        [
+            # oracle-classes keeps the ids of the time it was the only command here.
+            pytest.param(row.name, rank,
+                         id=rank if row.name == "oracle-classes" else f"{row.name}-{rank}")
+            for row in cli.COMMANDS
+            for rank in ("1", "0", "-3")
+        ],
+    )
+    def test_oracle_classes_needs_rank_two(self, capsys, command, rank):
+        code, out, err = invoke(capsys, command, "--rank", rank, *EMPTY_ARGV[command])
         assert code == 1 and out == ""
         assert json.loads(err) == {
             "error": "invalid-rank", "message": f"rank must be an integer >= 2, got {rank}"
         }
+
+    def test_no_request_raises(self, capsys):
+        """Each subcommand, format, rank and input ends with an exit code."""
+        failures = []
+        for row in cli.COMMANDS:
+            for fmt in row.formats:
+                for rank in ("4", "3", "2", "1", "0", "-3"):
+                    for argv in (EMPTY_ARGV[row.name], *SWEEP_ARGV[row.name]):
+                        request = [row.name, "--rank", rank, "--format", fmt, *argv]
+                        try:
+                            code = run(request)
+                        except Exception as exc:
+                            failures.append(f"{shlex.join(request)}: {exc!r}")
+                        else:
+                            assert code in (0, 1, 2), request
+                        capsys.readouterr()
+        assert failures == []
 
     def test_byte_determinism(self, capsys):
         args = ("decompose", "--rank", "3", "--format", "json", "--shape", "2,1")

@@ -1,5 +1,6 @@
 """Core gallery operations: validation, words, weights, paths, dominance."""
 
+import inspect
 import random
 from collections import Counter
 from enum import IntEnum
@@ -13,6 +14,7 @@ from gallery_crystals import (
     Gallery,
     GalleryError,
     IndexOutOfRange,
+    InvalidRank,
     LetterNotInteger,
     LetterOutOfRange,
     NonIncreasingColumn,
@@ -22,11 +24,17 @@ from gallery_crystals import (
     ShapeInvalid,
     WeightVector,
     concat,
+    count_galleries,
+    decompose,
     dominance_leq,
+    dominant_galleries,
     empty_gallery,
+    enumerate_ssyt,
     format_gallery,
     format_word,
+    galleries_of_shape,
     gallery_from_word,
+    image_weights,
     is_dominant,
     pairing,
     parse_gallery,
@@ -34,6 +42,7 @@ from gallery_crystals import (
     path_vertices,
     validate_gallery,
     validate_shape,
+    verify_surjectivity,
     weight,
     word,
 )
@@ -92,6 +101,29 @@ class TestValidateGallery:
         # Arabic-Indic digits one, two, three: int() reads them, the format does not.
         with pytest.raises(ParseError):
             parse_gallery("\u0661,\u0662|\u0663", 3)
+
+
+class TestRankRule:
+    """Ranks below 2 are refused by every entry point that takes a rank."""
+
+    @pytest.mark.parametrize("rank", [1, 0, -3])
+    @pytest.mark.parametrize(
+        "function",
+        [galleries_of_shape, dominant_galleries, count_galleries, enumerate_ssyt, decompose,
+         image_weights, verify_surjectivity],
+        ids=lambda function: function.__name__,
+    )
+    def test_empty_shape(self, function, rank):
+        with pytest.raises(InvalidRank, match=f"^rank must be an integer >= 2, got {rank}$"):
+            result = function((), rank)
+            if inspect.isgenerator(result):
+                list(result)
+
+    def test_weights(self):
+        with pytest.raises(InvalidRank, match="^rank must be an integer >= 2, got 1$"):
+            WeightVector((1,))
+        with pytest.raises(InvalidRank, match="^rank must be an integer >= 2, got 1$"):
+            DominantWeight(())
 
 
 class TestWord:
