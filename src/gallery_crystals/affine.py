@@ -42,18 +42,18 @@ def positive_roots(rank: int) -> tuple[tuple[int, int], ...]:
 
 
 def crossing_sets(gallery: Gallery) -> tuple[tuple[AffineRoot, ...], ...]:
-    """Per-segment crossing sets along the gallery's path, in a fixed total order."""
-    verts = path_vertices(gallery)
-    roots = positive_roots(gallery.rank)
-    segments = []
-    for cur, nxt in zip(verts, verts[1:]):
-        crossed = []
-        for a, b in roots:
-            level = cur[a - 1] - cur[b - 1]
-            if nxt[a - 1] - nxt[b - 1] > level:
-                crossed.append(AffineRoot(a, b, level))
-        segments.append(tuple(sorted(crossed)))
-    return tuple(segments)
+    """Per-segment crossing sets along the gallery's path, in (a, b) order.
+
+    A segment adds one to each coordinate in its column, so the pairing
+    with epsilon_a - epsilon_b (a < b) rises exactly when a is in the
+    column and b is not; the level is the pairing at the segment's start.
+    """
+    n = gallery.rank
+    return tuple(
+        tuple(AffineRoot(a, b, cur[a - 1] - cur[b - 1])
+              for a in col for b in range(a + 1, n + 1) if b not in col)
+        for cur, col in zip(path_vertices(gallery), gallery.columns)
+    )
 
 
 def staircase_gallery(rank: int) -> Gallery:

@@ -8,8 +8,8 @@ where a negative value means something.  Exit codes: 0 on success, 1 on
 domain errors (a machine-readable JSON report goes to stderr), 2 on usage
 errors, and 141 when the reader of standard output goes away, as a process
 killed by SIGPIPE would report.  A request that would enumerate more than
-`SIZE_LIMIT` galleries, crystal vertices or words fails up front with the
-domain error ``too-large``.
+`SIZE_LIMIT` galleries, crystal vertices, words or positive roots fails up
+front with the domain error ``too-large``.
 
 Each subcommand is one row of `COMMANDS`: its arguments, a ``compute``
 that parses them and calls the library, and one renderer per --format
@@ -21,7 +21,7 @@ per process, on the first `run`, and reused, since building it costs
 several times more than parsing a typical request.  Reuse is safe because
 `parse_args` returns a fresh namespace on every call and looks up
 ``sys.stdout``/``sys.stderr`` only when it writes help or an error.  `run`
-checks --rank once, before any subcommand computes.
+checks --rank (2 to 141) once, before any subcommand computes.
 """
 
 from __future__ import annotations
@@ -67,10 +67,10 @@ from .operators import e, f, i_signature
 from .plactic import equivalent, normal_form, oracle_plactic_classes
 
 # The most galleries (decompose, image-weights, fiber), crystal vertices
-# (blambda, component) or words (oracle-classes) one request may enumerate;
-# each command checks its count before it starts.  Crystal graphs are the
-# dearest: at this size a component of long galleries takes about two
-# seconds and writes a few megabytes; at ten times the size, over a minute.
+# (blambda, component), words (oracle-classes) or positive roots (any rank)
+# one request may enumerate; each is counted before any work.  Crystal
+# graphs are the dearest: at this size a component of long galleries takes
+# about two seconds and writes a few megabytes; at ten times, over a minute.
 SIZE_LIMIT = 10_000
 
 # An optional minus and ASCII digits: int() alone would also take "+2",
@@ -185,6 +185,8 @@ def _fiber(args) -> dict:
 
 
 def _appendix_check(args) -> dict:
+    if args.seed is not None:
+        _check_size((1 + args.cases) * comb(args.rank, 2), "positive roots")
     gamma = parse_gallery(args.gamma, args.rank)
     delta = parse_gallery(args.delta, args.rank)
     disjoint = splice_disjointness(gamma, delta)
@@ -392,6 +394,7 @@ def run(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         _check_rank(args.rank)
+        _check_size(comb(args.rank, 2), "positive roots")
         lines = args.row.formats[args.format](args.row.compute(args))
         text = "".join(f"{line}\n" for line in lines)
     except GalleryError as exc:

@@ -54,6 +54,11 @@ def _check_rank(rank) -> None:
         raise InvalidRank(f"rank must be an integer >= 2, got {rank!r}")
 
 
+def _check_index(i: int, rank: int) -> None:
+    if not 1 <= i <= rank - 1:
+        raise IndexOutOfRange(f"simple root index {i} not in 1..{rank - 1}")
+
+
 @dataclass(frozen=True)
 class Gallery:
     """A filling of a column arrangement, columns in reading order.
@@ -211,8 +216,7 @@ class WeightVector:
 
     def pairing(self, i: int) -> int:
         """Pairing with the i-th simple (co)root: counts[i] - counts[i+1]."""
-        if not 1 <= i <= self.rank - 1:
-            raise IndexOutOfRange(f"simple root index {i} not in 1..{self.rank - 1}")
+        _check_index(i, self.rank)
         return self.counts[i - 1] - self.counts[i]
 
     def __add__(self, other: "WeightVector") -> "WeightVector":
@@ -223,14 +227,14 @@ class WeightVector:
         return WeightVector(tuple(a + b for a, b in zip(self.counts, other.counts)))
 
     def add_simple_root(self, i: int) -> "WeightVector":
-        self.pairing(i)  # index check
+        _check_index(i, self.rank)
         counts = list(self.counts)
         counts[i - 1] += 1
         counts[i] -= 1
         return WeightVector(tuple(counts))
 
     def subtract_simple_root(self, i: int) -> "WeightVector":
-        self.pairing(i)  # index check
+        _check_index(i, self.rank)
         counts = list(self.counts)
         counts[i - 1] -= 1
         counts[i] += 1

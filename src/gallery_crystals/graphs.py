@@ -7,19 +7,19 @@ is dominant, and the component is determined up to isomorphism by that
 vertex's weight.
 
 `connected_component` raises a gallery to that source and generates the
-component from it with the f_i alone; `highest_weight_crystal` is the
-component of the dominant tableau.  A gallery is a source exactly when its
-path stays in the dominant chamber, so `dominant_galleries` lists the
-sources of a shape crystal without visiting the rest of it, and `decompose`
-counts them by weight and searches no component.  `is_isomorphic`
-reads the graphs' stored edges.  `enumerate_ssyt` lists the vertex set of
-B(lambda) without any crystal operator, row by row as Gelfand-Tsetlin
-patterns, and serves as the independent check on the crystal side.
+component from it with the f_i alone, by `_walk`, the one breadth-first
+search here; `highest_weight_crystal` is the component of the dominant
+tableau.  `is_isomorphic` walks each graph's stored edges from its source.
+A gallery is a source exactly when its path stays in the dominant chamber,
+so `dominant_galleries` lists the sources of a shape crystal without
+visiting the rest of it, and `decompose` counts them by weight and searches
+no component.  `enumerate_ssyt` lists the vertex set of B(lambda) without
+any crystal operator, row by row as Gelfand-Tsetlin patterns, and serves as
+the independent check on the crystal side.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, product
@@ -63,23 +63,6 @@ class CrystalGraph:
     def __len__(self) -> int:
         return len(self.vertices)
 
-    def is_connected(self) -> bool:
-        if not self.vertices:
-            return True
-        adjacency: dict[Gallery, list[Gallery]] = {g: [] for g in self.vertices}
-        for u, v, _ in self.edges:
-            adjacency[u].append(v)
-            adjacency[v].append(u)
-        start = next(iter(self.vertices))
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            for nb in adjacency[queue.popleft()]:
-                if nb not in seen:
-                    seen.add(nb)
-                    queue.append(nb)
-        return len(seen) == len(self.vertices)
-
 
 def _raise_to_source(gallery: Gallery) -> tuple[Gallery, list[int]]:
     """Apply raising operators until none applies; smallest index first.
@@ -113,27 +96,33 @@ def canonical_dominant_gallery(lam: DominantWeight) -> Gallery:
     return Gallery(lam.rank, columns)
 
 
-def connected_component(gallery: Gallery) -> CrystalGraph:
-    """The component of the gallery, generated by f_i alone from its source.
-
-    Every vertex of the component is reached from its unique source by
-    f-moves, so a breadth-first search from `highest_weight_vertex` records
-    each edge once, as (v, f_i(v), i).
+def _walk(source: Gallery, rank: int, step) -> tuple[dict[Gallery, int], list]:
+    """Breadth-first search from a source: each vertex v, in visiting order,
+    records the edge (v, step(v, i), i) for each i = 1..rank-1 whose move
+    applies.  Returns the visiting number of each vertex reached (a dict, so
+    that ``frozenset(index)`` reuses its stored hashes) and the edges.
     """
-    source = highest_weight_vertex(gallery)
-    n = source.rank
-    seen = {source}
+    index = {source: 0}
     order = [source]
     edges = []
     for v in order:  # grows while iterated: breadth-first
-        for i in range(1, n):
-            w = f(v, i)
+        for i in range(1, rank):
+            w = step(v, i)
             if w is not None:
                 edges.append((v, w, i))
-                if w not in seen:
-                    seen.add(w)
+                if w not in index:
+                    index[w] = len(order)
                     order.append(w)
-    return CrystalGraph(n, frozenset(seen), frozenset(edges))
+    return index, edges
+
+
+def connected_component(gallery: Gallery) -> CrystalGraph:
+    """The component of the gallery: f-moves from its unique source reach
+    every vertex, so `_walk` records each edge once, as (v, f_i(v), i).
+    """
+    source = highest_weight_vertex(gallery)
+    index, edges = _walk(source, source.rank, f)
+    return CrystalGraph(source.rank, frozenset(index), frozenset(edges))
 
 
 def highest_weight_crystal(lam: DominantWeight) -> CrystalGraph:
@@ -141,19 +130,18 @@ def highest_weight_crystal(lam: DominantWeight) -> CrystalGraph:
     return connected_component(canonical_dominant_gallery(lam))
 
 
-def _source_vertex(graph: CrystalGraph) -> Gallery:
+def _numbered(graph: CrystalGraph) -> tuple[dict[Gallery, int], tuple]:
+    # A walk along the stored edges from the unique source: the visiting
+    # numbers, and the source's weight with the edges as (number, i, number).
     sources = graph.vertices - {v for _, v, _ in graph.edges}
     if len(sources) != 1:
         raise NotConnected(f"expected a unique source vertex, found {len(sources)}")
-    return next(iter(sources))
-
-
-def _moves(graph: CrystalGraph) -> tuple[dict, dict]:
-    # The stored edges keyed both ways: (u, i) -> f_i(u) and (v, i) -> e_i(v).
-    return (
-        {(u, i): v for u, v, i in graph.edges},
-        {(v, i): u for u, v, i in graph.edges},
-    )
+    (source,) = sources
+    moves = {(u, i): v for u, v, i in graph.edges}
+    index, edges = _walk(source, graph.rank, lambda v, i: moves.get((v, i)))
+    if len(index) != len(graph):
+        raise NotConnected("some vertex is not reached from the source")
+    return index, (weight(source), [(index[u], i, index[v]) for u, v, i in edges])
 
 
 def is_isomorphic(
@@ -161,46 +149,22 @@ def is_isomorphic(
 ) -> tuple[bool, dict[Gallery, Gallery] | None]:
     """Label-preserving crystal isomorphism test for connected graphs.
 
-    Runs a simultaneous traversal from the two source vertices (the vertex
-    that is no edge's target), matching stored f_i and e_i moves step for
-    step.  Returns the vertex map on success; the map preserves weights
-    because the sources agree and every edge shifts the weight by the same
-    simple root on both sides.
+    Graphs of different rank, size or edge count are not isomorphic.  Each
+    graph needs a unique source (no edge's target) whose walk along the
+    stored edges reaches every vertex, else `NotConnected`.  An isomorphism
+    maps source to source and commutes with each f_i, so the graphs are
+    isomorphic exactly when the sources' weights and the walks' numbered
+    edges agree; the vertex map pairs the two visiting orders.
     """
-    for graph in (first, second):
-        if not graph.is_connected():
-            raise NotConnected("is_isomorphic requires connected crystal graphs")
     if (first.rank, len(first), len(first.edges)) != (
         second.rank, len(second), len(second.edges)
     ):
         return False, None
-    a = _source_vertex(first)
-    b = _source_vertex(second)
-    if weight(a) != weight(b):
+    index_a, walk_a = _numbered(first)
+    index_b, walk_b = _numbered(second)
+    if walk_a != walk_b:
         return False, None
-    steps = tuple(zip(_moves(first), _moves(second)))
-    mapping = {a: b}
-    queue = deque([a])
-    while queue:
-        u = queue.popleft()
-        v = mapping[u]
-        for i in range(1, first.rank):
-            for step_a, step_b in steps:
-                nu = step_a.get((u, i))
-                nv = step_b.get((v, i))
-                if (nu is None) != (nv is None):
-                    return False, None
-                if nu is None:
-                    continue
-                known = mapping.get(nu)
-                if known is None:
-                    mapping[nu] = nv
-                    queue.append(nu)
-                elif known != nv:
-                    return False, None
-    if len(set(mapping.values())) != len(first):
-        return False, None
-    return True, mapping
+    return True, dict(zip(index_a, index_b))
 
 
 def weyl_dimension(lam: DominantWeight) -> int:

@@ -16,6 +16,7 @@ brute-force versions over the whole shape are test oracles.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import InvalidLabel, RankMismatch
 from .galleries import (
@@ -29,7 +30,7 @@ from .galleries import (
 )
 from .graphs import (
     _raise_to_source,
-    connected_component,
+    _walk,
     decompose,
     dominant_galleries,
     enumerate_ssyt,
@@ -40,11 +41,10 @@ from .plactic import is_ssyt, normal_form
 
 @dataclass(frozen=True)
 class MVLabel:
-    """Label (lambda, tableau) with the tableau weight mu kept alongside."""
+    """Label (lambda, tableau); mu is the tableau's weight."""
 
     lam: DominantWeight
     tableau: Gallery
-    mu: WeightVector
 
     def __post_init__(self) -> None:
         if self.lam.rank != self.tableau.rank:
@@ -56,27 +56,25 @@ class MVLabel:
                 f"tableau shape {self.tableau.shape} does not match "
                 f"underline(lambda) = {self.lam.column_shape()}"
             )
-        if self.mu != weight(self.tableau):
-            raise InvalidLabel("stored mu differs from the tableau weight")
         if not dominance_leq(self.mu, self.lam.to_weight_vector()):
             raise InvalidLabel("mu is not below lambda in dominance order")
 
+    @cached_property
+    def mu(self) -> WeightVector:
+        return weight(self.tableau)
+
 
 def make_label(lam: DominantWeight, tableau: Gallery) -> MVLabel:
-    return MVLabel(lam=lam, tableau=tableau, mu=weight(tableau))
+    return MVLabel(lam=lam, tableau=tableau)
 
 
 def mv_label(gallery: Gallery) -> MVLabel:
-    """The label of the gallery: lambda from the normal form's shape, mu = weight."""
+    """The label of the gallery: lambda from the normal form's shape."""
     tableau = normal_form(gallery)
     coeffs = [0] * (gallery.rank - 1)
     for col in tableau.columns:
         coeffs[len(col) - 1] += 1
-    return MVLabel(
-        lam=DominantWeight(tuple(coeffs)),
-        tableau=tableau,
-        mu=weight(gallery),
-    )
+    return MVLabel(lam=DominantWeight(tuple(coeffs)), tableau=tableau)
 
 
 def fiber(label: MVLabel, shape: Shape, rank: int | None = None) -> tuple[Gallery, ...]:
@@ -120,8 +118,8 @@ class SurjectivityReport:
 def verify_surjectivity(shape: Shape, rank: int) -> SurjectivityReport:
     """Check that every tableau of every weight in the image is hit.
 
-    For each lambda in the image of the shape, the component of its first
-    dominant gallery is generated and normalised, and the tableaux of shape
+    For each lambda in the image of the shape, the walk from its first
+    dominant gallery (a source) is normalised, and the tableaux of shape
     underline(lambda), enumerated without crystal operators, are looked up
     among its normal forms.  So one component alone must cover B(lambda).
     """
@@ -129,8 +127,8 @@ def verify_surjectivity(shape: Shape, rank: int) -> SurjectivityReport:
     misses: list[tuple[DominantWeight, Gallery]] = []
     checked = 0
     for entry in decompose(shape, rank).entries:
-        component = connected_component(entry.representatives[0])
-        hit = {normal_form(g) for g in component.vertices}
+        index, _ = _walk(entry.representatives[0], rank, f)
+        hit = {normal_form(g) for g in index}
         for tableau in enumerate_ssyt(entry.lam.column_shape(), rank):
             checked += 1
             if tableau not in hit:

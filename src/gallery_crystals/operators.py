@@ -13,19 +13,14 @@ from __future__ import annotations
 
 import enum
 
-from .errors import BrokenColumn, IndexOutOfRange
-from .galleries import Gallery
+from .errors import BrokenColumn
+from .galleries import Gallery, _check_index
 
 
 class Tag(enum.Enum):
     PLUS = "+"
     MINUS = "-"
     NONE = "0"
-
-
-def _check_index(i: int, rank: int) -> None:
-    if not 1 <= i <= rank - 1:
-        raise IndexOutOfRange(f"simple root index {i} not in 1..{rank - 1}")
 
 
 def i_signature(gallery: Gallery, i: int) -> tuple[Tag, ...]:

@@ -7,10 +7,12 @@ import re
 from collections import deque
 
 from gallery_crystals import (
+    CrystalGraph,
     Decomposition,
     DecompositionEntry,
     DominantWeight,
     Gallery,
+    NotConnected,
     ParseError,
     SurjectivityReport,
     connected_component,
@@ -113,6 +115,80 @@ def two_sided_closure(gallery: Gallery) -> tuple[frozenset, frozenset]:
                     seen.add(w)
                     queue.append(w)
     return frozenset(seen), frozenset(edges)
+
+
+def undirected_connected(graph: CrystalGraph) -> bool:
+    """Whether the graph is connected with its edge directions ignored."""
+    if not graph.vertices:
+        return True
+    adjacency: dict[Gallery, list[Gallery]] = {g: [] for g in graph.vertices}
+    for u, v, _ in graph.edges:
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    start = next(iter(graph.vertices))
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        for nb in adjacency[queue.popleft()]:
+            if nb not in seen:
+                seen.add(nb)
+                queue.append(nb)
+    return len(seen) == len(graph.vertices)
+
+
+def traversal_isomorphism(
+    first: CrystalGraph, second: CrystalGraph
+) -> tuple[bool, dict[Gallery, Gallery] | None]:
+    """Reference for `is_isomorphic`: match stored f_i and e_i moves step for step.
+
+    Both graphs must be connected (edge directions ignored) and have a unique
+    source, or `NotConnected` is raised before sizes are compared.  A
+    simultaneous traversal from the two sources builds the vertex map, which
+    must be injective.
+    """
+    for graph in (first, second):
+        if not undirected_connected(graph):
+            raise NotConnected("is_isomorphic requires connected crystal graphs")
+    if (first.rank, len(first), len(first.edges)) != (
+        second.rank, len(second), len(second.edges)
+    ):
+        return False, None
+    tops = []
+    for graph in (first, second):
+        sources = graph.vertices - {v for _, v, _ in graph.edges}
+        if len(sources) != 1:
+            raise NotConnected(f"expected a unique source vertex, found {len(sources)}")
+        tops.extend(sources)
+    a, b = tops
+    if weight(a) != weight(b):
+        return False, None
+    # Each graph's stored edges keyed both ways: (u, i) -> f_i(u), (v, i) -> e_i(v).
+    steps = (
+        ({(u, i): v for u, v, i in first.edges}, {(u, i): v for u, v, i in second.edges}),
+        ({(v, i): u for u, v, i in first.edges}, {(v, i): u for u, v, i in second.edges}),
+    )
+    mapping = {a: b}
+    queue = deque([a])
+    while queue:
+        u = queue.popleft()
+        v = mapping[u]
+        for i in range(1, first.rank):
+            for step_a, step_b in steps:
+                nu = step_a.get((u, i))
+                nv = step_b.get((v, i))
+                if (nu is None) != (nv is None):
+                    return False, None
+                if nu is None:
+                    continue
+                known = mapping.get(nu)
+                if known is None:
+                    mapping[nu] = nv
+                    queue.append(nu)
+                elif known != nv:
+                    return False, None
+    if len(set(mapping.values())) != len(first):
+        return False, None
+    return True, mapping
 
 
 def component_decomposition(shape: Shape, rank: int) -> Decomposition:

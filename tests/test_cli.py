@@ -295,7 +295,7 @@ class TestErrorsAndDeterminism:
         failures = []
         for row in cli.COMMANDS:
             for fmt in row.formats:
-                for rank in ("4", "3", "2", "1", "0", "-3"):
+                for rank in ("4", "3", "2", "1", "0", "-3", "10000", "1000000000"):
                     for argv in (EMPTY_ARGV[row.name], *SWEEP_ARGV[row.name]):
                         request = [row.name, "--rank", rank, "--format", fmt, *argv]
                         try:
@@ -467,6 +467,12 @@ class TestTooLarge:
             ("blambda", ["--rank", "3", "--lambda", "100,100"]),  # 1,030,301 vertices
             ("component", ["--rank", "3", "|".join(["1"] * 500)]),  # B(500,0): 125,751
             ("oracle-classes", ["--rank", "3", "--max-len", "20"]),
+            # ranks with more than SIZE_LIMIT positive roots, on any command
+            ("crossings", ["--rank", "10000", "1"]),
+            ("weight", ["--rank", "1000000000", ""]),
+            ("appendix-check", ["--rank", "3000"]),
+            # (1 + cases) x 3 positive roots
+            ("appendix-check", ["--rank", "3", "--seed", "1", "--cases", "100000000"]),
         ],
     )
     def test_rejected_up_front(self, capsys, command, argv):
@@ -475,6 +481,20 @@ class TestTooLarge:
         assert time.perf_counter() - start < 1.0
         assert code == 1 and out == ""
         assert json.loads(err)["error"] == "too-large"
+
+    def test_largest_rank_runs(self, capsys):
+        # comb(141, 2) = 9,870 positive roots; comb(142, 2) = 10,011.
+        assert invoke(capsys, "crossings", "--rank", "141", "1")[0] == 0
+        assert invoke(capsys, "weight", "--rank", "141", "")[0] == 0
+        code, _, err = invoke(capsys, "weight", "--rank", "142", "")
+        assert code == 1 and json.loads(err)["error"] == "too-large"
+
+    def test_random_pairs_counted_with_roots(self, capsys):
+        # 101 x comb(14, 2) = 9,191 and 101 x comb(15, 2) = 10,605 roots
+        assert invoke(capsys, "appendix-check", "--rank", "14", "--seed", "1")[0] == 0
+        code, _, err = invoke(capsys, "appendix-check", "--rank", "15", "--seed", "1")
+        assert code == 1 and json.loads(err)["error"] == "too-large"
+        assert invoke(capsys, "appendix-check", "--rank", "15")[0] == 0
 
     @pytest.mark.parametrize("rank, max_len", [(7, 0), (5, 1), (4, 3), (3, 5)])
     def test_small_oracle_searches_run(self, capsys, rank, max_len):

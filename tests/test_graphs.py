@@ -32,6 +32,7 @@ from _support import (
     component_decomposition,
     gallery_universe,
     shapes_up_to,
+    traversal_isomorphism,
     two_sided_closure,
     weights_with_dimension_at_most,
 )
@@ -199,9 +200,9 @@ class TestIsIsomorphic:
         cut_edge = (G("1,2|1", 3), G("1,2|2", 3), 1)
         assert cut_edge in full.edges
         cut = CrystalGraph(3, full.vertices, full.edges - {cut_edge})
-        assert cut.is_connected()
-        assert is_isomorphic(full, cut) == (False, None)
         # without that edge, 1,2|2 is a second source
+        assert len(cut.vertices - {v for _, v, _ in cut.edges}) == 2
+        assert is_isomorphic(full, cut) == (False, None)
         with pytest.raises(NotConnected):
             is_isomorphic(cut, cut)
 
@@ -211,6 +212,67 @@ class TestIsIsomorphic:
         disconnected = CrystalGraph(3, frozenset({a, b}), frozenset())
         with pytest.raises(NotConnected):
             is_isomorphic(disconnected, disconnected)
+        # a unique source, G("2", 3), whose walk misses a two-cycle
+        cycle = CrystalGraph(3, frozenset({a, b, G("2", 3)}), frozenset({(a, b, 1), (b, a, 2)}))
+        with pytest.raises(NotConnected, match="not reached"):
+            is_isomorphic(cycle, cycle)
+
+    def test_sizes_are_compared_first(self):
+        # A graph of another rank, size or edge count is not isomorphic, even
+        # when it is not connected; the traversal oracle raises here instead.
+        disconnected = CrystalGraph(3, frozenset({G("1", 3), G("1|1", 3)}), frozenset())
+        full = highest_weight_crystal(DominantWeight((1, 1)))
+        assert is_isomorphic(full, disconnected) == (False, None)
+        assert is_isomorphic(disconnected, full) == (False, None)
+        with pytest.raises(NotConnected):
+            traversal_isomorphism(full, disconnected)
+
+    def test_agrees_with_traversal_oracle(self):
+        graphs = isomorphism_cases()
+        tally = {True: 0, False: 0, NotConnected: 0, "precedence": 0}
+        for first in graphs:
+            for second in graphs:
+                got = isomorphism_outcome(is_isomorphic, first, second)
+                want = isomorphism_outcome(traversal_isomorphism, first, second)
+                tally[want if want is NotConnected else want[0]] += 1
+                if got != want:
+                    # The one allowed difference: sizes are compared before
+                    # connectivity is checked.
+                    assert want is NotConnected and got == (False, None)
+                    assert (first.rank, len(first), len(first.edges)) != (
+                        second.rank, len(second), len(second.edges)
+                    )
+                    tally["precedence"] += 1
+        assert min(tally.values()) > 0, tally
+
+
+def isomorphism_outcome(test, first, second):
+    """The result of ``test(first, second)``, or the class of its error."""
+    try:
+        return test(first, second)
+    except NotConnected:
+        return NotConnected
+
+
+def isomorphism_cases() -> list[CrystalGraph]:
+    """Small components at ranks 2-4, their word-reading copies and mutants.
+
+    Each mutant drops one edge or moves it to a free label, so it still has
+    at most one i-edge into and out of each vertex.
+    """
+    graphs = []
+    for rank, bound in ((2, 5), (3, 8), (4, 10)):
+        for lam in weights_with_dimension_at_most(rank, bound):
+            crystal = highest_weight_crystal(lam)
+            source = canonical_dominant_gallery(lam)
+            graphs += [crystal, connected_component(gallery_from_word(word(source), rank))]
+            for u, v, i in crystal.sorted_edges()[:3]:
+                kept = crystal.edges - {(u, v, i)}
+                graphs.append(CrystalGraph(rank, crystal.vertices, kept))
+                for j in range(1, rank):
+                    if not any((x == u or y == v) and k == j for x, y, k in kept):
+                        graphs.append(CrystalGraph(rank, crystal.vertices, kept | {(u, v, j)}))
+    return graphs
 
 
 class TestDecompose:
