@@ -1,7 +1,7 @@
 """Plactic equivalence and normalization to semistandard Young tableaux.
 
-Insertion works on the gallery word read last letter first; full columns
-1..n are struck out afterwards, which is what makes the staircase word
+Insertion works on the gallery word read last letter first and drops the
+full columns 1..n of its tableau, which is what makes the staircase word
 collapse to the empty tableau.
 """
 
@@ -14,7 +14,6 @@ from gallery_crystals import (
     oracle_plactic_classes,
     parse_gallery,
     rsk_insert,
-    strip_full_columns,
 )
 
 for text in ["1,2|1", "1|2|1", "1|2|1|3|2|1"]:
@@ -23,9 +22,9 @@ for text in ["1,2|1", "1|2|1", "1|2|1|3|2|1"]:
 
 staircase = gallery_from_word((1, 2, 3), 3)
 print("\nstaircase word gallery:", format_gallery(staircase))
-inserted = rsk_insert((1, 2, 3), 3)
-print("raw insertion tableau :", format_gallery(inserted), "(a full column)")
-print("after stripping       :", repr(format_gallery(strip_full_columns(inserted))))
+# insertion drops the full column 1,2,3 of its tableau
+print("insertion of 1 2 3    :", repr(format_gallery(rsk_insert((1, 2, 3), 3))))
+print("insertion of 1 2 1 2 3:", repr(format_gallery(rsk_insert((1, 2, 1, 2, 3), 3))))
 print("normal form is empty  :", normal_form(staircase).columns == ())
 
 print("\nis_ssyt('1,2|1') :", is_ssyt(parse_gallery("1,2|1", 3)))

@@ -43,7 +43,6 @@ from .galleries import (
     parse_gallery,
     parse_word,
     path_vertices,
-    validate_gallery,
     validate_shape,
     weight,
     word,
@@ -62,7 +61,6 @@ from .plactic import (
     normal_form,
     oracle_plactic_classes,
     rsk_insert,
-    strip_full_columns,
 )
 from .graphs import (
     CrystalGraph,

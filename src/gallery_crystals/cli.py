@@ -168,19 +168,23 @@ def _component(args) -> CrystalGraph:
     return connected_component(gallery)
 
 
-def _blambda(args) -> CrystalGraph:
-    lam = DominantWeight(_parse_ints(args.lam, "lambda"))
-    if lam.rank != args.rank:
+def _lambda(args) -> DominantWeight:
+    coeffs = _parse_ints(args.lam, "lambda")
+    if len(coeffs) != args.rank - 1:
         raise ParseError(
-            f"lambda has {lam.rank - 1} coordinates; rank {args.rank} needs {args.rank - 1}"
+            f"lambda has {len(coeffs)} coordinates; rank {args.rank} needs {args.rank - 1}"
         )
+    return DominantWeight(coeffs)
+
+
+def _blambda(args) -> CrystalGraph:
+    lam = _lambda(args)
     _check_size(weyl_dimension(lam), "crystal vertices")
     return highest_weight_crystal(lam)
 
 
 def _fiber(args) -> dict:
-    lam = DominantWeight(_parse_ints(args.lam, "lambda"))
-    label = make_label(lam, parse_gallery(args.tableau, args.rank))
+    label = make_label(_lambda(args), parse_gallery(args.tableau, args.rank))
     return {"fiber": [format_gallery(g) for g in fiber(label, _shape(args), args.rank)]}
 
 

@@ -61,14 +61,15 @@ def _check_index(i: int, rank: int) -> None:
 
 @dataclass(frozen=True)
 class Gallery:
-    """A filling of a column arrangement, columns in reading order.
+    """A proper gallery: strictly increasing columns of length at most
+    ``rank - 1`` over 1..rank, in reading order.
 
-    Columns of length ``rank`` are tolerated by the constructor because they
-    occur transiently as plactic insertion output; proper galleries have
-    columns of length at most ``rank - 1``, which `validate_gallery` (and all
-    parsing) enforces.  Letters must be ints: the constructor rejects floats,
-    strings and bools instead of converting them, and stores members of other
-    int subclasses as plain ints.
+    The first column, in reading order, that is empty, longer than ``rank``,
+    has a letter out of range or does not strictly increase raises its own
+    error; only when every column passes those checks does a full column
+    (length ``rank``) raise `ColumnTooLong`.  Letters must be ints: the
+    constructor rejects floats, strings and bools instead of converting
+    them, and stores members of other int subclasses as plain ints.
     """
 
     rank: int
@@ -90,6 +91,11 @@ class Gallery:
                     raise LetterOutOfRange(f"letter {a} not in 1..{self.rank}")
             if any(x >= y for x, y in zip(col, col[1:])):
                 raise NonIncreasingColumn(f"column {col} is not strictly increasing")
+        for col in cols:
+            if len(col) == self.rank:
+                raise ColumnTooLong(
+                    f"column {col} has length {len(col)}; galleries allow at most {self.rank - 1}"
+                )
 
     @classmethod
     def _unsafe(cls, rank: int, columns: tuple[tuple[int, ...], ...]) -> "Gallery":
@@ -109,17 +115,6 @@ class Gallery:
 
     def __str__(self) -> str:
         return format_gallery(self)
-
-
-def validate_gallery(rank: int, columns) -> Gallery:
-    """Build a proper gallery: strictly increasing columns of length <= rank-1."""
-    gallery = Gallery(rank, tuple(tuple(col) for col in columns))
-    for col in gallery.columns:
-        if len(col) > rank - 1:
-            raise ColumnTooLong(
-                f"column {col} has length {len(col)}; galleries allow at most {rank - 1}"
-            )
-    return gallery
 
 
 def empty_gallery(rank: int) -> Gallery:
@@ -357,11 +352,11 @@ def parse_gallery(text: str, rank: int) -> Gallery:
     column string is parsed and checked once.  A malformed column raises
     `ParseError` for the first one in display order; the first faulty
     column in reading order is the first occurrence of a faulty distinct
-    column, so `validate_gallery` reports the same fault as for them all.
+    column, so `Gallery` reports the same fault as for them all.
     """
     text = text.strip()
     if not text:
-        return validate_gallery(rank, ())
+        return Gallery(rank, ())
     chunks = text.split("|")
     parsed = {}
     for chunk in dict.fromkeys(chunks):
@@ -370,7 +365,7 @@ def parse_gallery(text: str, rank: int) -> Gallery:
             raise ParseError(f"malformed column {chunk!r}")
         parsed[chunk] = tuple(int(piece) for piece in entries)
     columns = tuple(map(parsed.__getitem__, reversed(chunks)))
-    validate_gallery(rank, dict.fromkeys(columns))
+    Gallery(rank, tuple(dict.fromkeys(columns)))
     return Gallery._unsafe(rank, columns)
 
 

@@ -40,25 +40,24 @@ def i_signature(gallery: Gallery, i: int) -> tuple[Tag, ...]:
 
 
 def _survivors(gallery: Gallery, i: int) -> tuple[list[int], list[int]]:
-    # Surviving plus/minus display positions after cancellation, in one
-    # left-to-right pass: a minus is stacked and a later plus cancels the most
-    # recent open one.  This is bracket matching, so the survivors do not
-    # depend on the order in which adjacent (- +) pairs are removed; the tests
-    # check that against a randomized reducer.
+    # Surviving plus/minus reading positions after cancellation, in one pass
+    # in reading order (display right to left), where a display (- +) pair
+    # reads (+ -): a plus is stacked and a later minus cancels the most recent
+    # open one.  This is bracket matching, so the survivors do not depend on
+    # the order in which adjacent pairs are removed; the tests check that
+    # against a randomized reducer.  The survivors read (-)^r (+)^s.
     j = i + 1
     plus: list[int] = []
     minus: list[int] = []
-    disp = 0
-    for col in reversed(gallery.columns):
+    for pos, col in enumerate(gallery.columns):
         has_low = i in col
         if has_low != (j in col):
-            if not has_low:
-                minus.append(disp)
-            elif minus:
-                minus.pop()
+            if has_low:
+                plus.append(pos)
+            elif plus:
+                plus.pop()
             else:
-                plus.append(disp)
-        disp += 1
+                minus.append(pos)
     return plus, minus
 
 
@@ -81,8 +80,7 @@ def f(gallery: Gallery, i: int) -> Gallery | None:
     plus, _ = _survivors(gallery, i)
     if not plus:
         return None
-    reading_index = len(gallery.columns) - 1 - plus[-1]
-    return _replace_entry(gallery, reading_index, i, i + 1)
+    return _replace_entry(gallery, plus[0], i, i + 1)
 
 
 def e(gallery: Gallery, i: int) -> Gallery | None:
@@ -91,8 +89,7 @@ def e(gallery: Gallery, i: int) -> Gallery | None:
     _, minus = _survivors(gallery, i)
     if not minus:
         return None
-    reading_index = len(gallery.columns) - 1 - minus[0]
-    return _replace_entry(gallery, reading_index, i + 1, i)
+    return _replace_entry(gallery, minus[-1], i + 1, i)
 
 
 def epsilon(gallery: Gallery, i: int) -> int:

@@ -12,11 +12,12 @@ together with the column relation
 
 Every gallery is equivalent to a unique semistandard Young tableau with
 columns of length at most n-1.  `normal_form` computes it in one pass:
-Schensted row insertion of the gallery word (letters taken last to first,
-matching the column reading convention), then removal of the full columns.
-A full column is 1..n, which by relation c is the empty word, and it sits
-leftmost because column lengths weakly decrease left to right; removing it
-leaves a semistandard tableau, whose reading word inserts back to itself.
+`rsk_insert`, Schensted row insertion of the gallery word (letters taken
+last to first, matching the column reading convention), which drops the
+full columns of its tableau.  A full column is 1..n, which by relation c is
+the empty word, and it sits leftmost because column lengths weakly decrease
+left to right; dropping it leaves a semistandard tableau, whose reading word
+inserts back to itself.  Every tableau is therefore a proper `Gallery`.
 `oracle_plactic_classes` is an independent brute-force rewriting oracle
 used to certify the normal form at test scale.
 """
@@ -28,7 +29,7 @@ from collections import deque
 from itertools import product
 
 from .errors import RankMismatch
-from .galleries import Gallery, Word, _plain_ints, word
+from .galleries import Gallery, Word, _check_rank, _plain_ints, word
 
 
 def is_ssyt(gallery: Gallery) -> bool:
@@ -48,23 +49,14 @@ def is_ssyt(gallery: Gallery) -> bool:
     return True
 
 
-def _rows_to_gallery(rows: list[list[int]], rank: int) -> Gallery:
-    # Top-aligned rows to reading-order columns (rightmost display first).
-    if not rows:
-        return Gallery(rank, ())
-    width = len(rows[0])
-    display = []
-    for j in range(width):
-        display.append(tuple(row[j] for row in rows if j < len(row)))
-    return Gallery(rank, tuple(reversed(display)))
-
-
 def rsk_insert(letters, rank: int) -> Gallery:
-    """Schensted row insertion of the letters, taken last to first.
+    """Schensted row insertion of the letters, taken last to first, with the
+    full columns 1..n of the insertion tableau dropped.
 
-    The output satisfies the row and column tableau conditions but may
-    contain columns of length n; `strip_full_columns` removes those.  A
-    letter that is not an int, or is a bool, raises `LetterNotInteger`.
+    Only columns equal to 1..n are dropped, so a column of length n with a
+    letter out of range, such as ``(0, 1, 2)``, still raises
+    `LetterOutOfRange`.  A letter that is not an int, or is a bool, raises
+    `LetterNotInteger`.
     """
     rows: list[list[int]] = []
     for x in reversed(_plain_ints(letters)):
@@ -80,24 +72,22 @@ def rsk_insert(letters, rank: int) -> Gallery:
                 break
             x, row[k] = row[k], x
             i += 1
-    return _rows_to_gallery(rows, rank)
-
-
-def strip_full_columns(tableau: Gallery) -> Gallery:
-    """Drop every column of length n; such a column is necessarily 1,2,...,n."""
-    n = tableau.rank
-    kept = tuple(col for col in tableau.columns if len(col) < n)
-    return Gallery._unsafe(n, kept)
+    _check_rank(rank)  # before range(), which would raise TypeError instead
+    full = tuple(range(1, rank + 1))
+    # Top-aligned rows to display columns, leftmost first.
+    width = len(rows[0]) if rows else 0
+    display = [tuple(row[j] for row in rows if j < len(row)) for j in range(width)]
+    return Gallery(rank, tuple(col for col in reversed(display) if col != full))
 
 
 def normal_form(gallery: Gallery) -> Gallery:
     """The unique equivalent semistandard Young tableau with columns <= n-1.
 
     One insertion suffices: the full columns of the insertion tableau are
-    its leftmost columns, so stripping them leaves a semistandard tableau,
+    its leftmost columns, so dropping them leaves a semistandard tableau,
     and reinserting that tableau's word would give it back unchanged.
     """
-    return strip_full_columns(rsk_insert(word(gallery), gallery.rank))
+    return rsk_insert(word(gallery), gallery.rank)
 
 
 def equivalent(gallery: Gallery, other: Gallery) -> bool:

@@ -24,7 +24,6 @@ from gallery_crystals import (
     image_weights,
     normal_form,
     parse_gallery,
-    validate_gallery,
     weight,
     weyl_dimension,
 )
@@ -37,17 +36,17 @@ def G(text: str, rank: int) -> Gallery:
 
 
 def columnwise_parse_gallery(text: str, rank: int) -> Gallery:
-    """Reference for `parse_gallery`: parse every column, then validate them all."""
+    """Reference for `parse_gallery`: parse every column, then build the gallery."""
     text = text.strip()
     if not text:
-        return validate_gallery(rank, ())
+        return Gallery(rank, ())
     display = []
     for chunk in text.split("|"):
         entries = [piece.strip() for piece in chunk.split(",")]
         if any(not re.match(r"^[0-9]+$", piece) for piece in entries):
             raise ParseError(f"malformed column {chunk!r}")
         display.append(tuple(int(piece) for piece in entries))
-    return validate_gallery(rank, tuple(reversed(display)))
+    return Gallery(rank, tuple(reversed(display)))
 
 
 def shapes_up_to(total: int, max_part: int):

@@ -267,6 +267,18 @@ class TestErrorsAndDeterminism:
         assert code == 1
         assert json.loads(err)["error"] == "svg-rank-unsupported"
 
+    @pytest.mark.parametrize("command", ["blambda", "fiber"])
+    @pytest.mark.parametrize("lam, count", [("", 0), ("1", 1), ("1,0,0", 3)])
+    def test_lambda_coordinate_count(self, capsys, command, lam, count):
+        argv = [command, "--rank", "3", "--lambda", lam]
+        if command == "fiber":
+            argv += ["--tableau", "1", "--shape", "1"]
+        code, out, err = invoke(capsys, *argv)
+        assert code == 1 and out == ""
+        assert json.loads(err) == {
+            "error": "parse-error", "message": f"lambda has {count} coordinates; rank 3 needs 2"
+        }
+
     def test_usage_error(self, capsys):
         assert invoke(capsys, "word", "3|1,2|5|2")[0] == 2  # missing --rank
 

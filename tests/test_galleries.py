@@ -40,13 +40,11 @@ from gallery_crystals import (
     parse_gallery,
     parse_word,
     path_vertices,
-    validate_gallery,
     validate_shape,
     verify_surjectivity,
     weight,
     word,
 )
-from gallery_crystals.plactic import rsk_insert
 from _support import G, columnwise_parse_gallery, gallery_universe
 
 
@@ -63,14 +61,30 @@ class TestValidateGallery:
     def test_full_column_rejected(self):
         with pytest.raises(ColumnTooLong):
             parse_gallery("1,2,3", 3)
-        # but tolerated by the raw constructor (plactic intermediate form)
-        assert Gallery(3, ((1, 2, 3),)).shape == (3,)
+        with pytest.raises(ColumnTooLong):
+            Gallery(3, ((1, 2, 3),))
+
+    @pytest.mark.parametrize(
+        "text, columns, error",
+        [
+            ("4|1,2,3", ((1, 2, 3), (4,)), LetterOutOfRange),
+            ("1,2,2", ((1, 2, 2),), NonIncreasingColumn),
+            ("1,2,3,4", ((1, 2, 3, 4),), ColumnTooLong),
+        ],
+    )
+    def test_full_column_checked_last(self, text, columns, error):
+        # A full column raises only when no column breaks another rule, even
+        # one read after it.
+        with pytest.raises(error):
+            parse_gallery(text, 3)
+        with pytest.raises(error):
+            Gallery(3, columns)
 
     def test_letter_out_of_range(self):
         with pytest.raises(LetterOutOfRange):
             parse_gallery("4", 3)
         with pytest.raises(LetterOutOfRange):
-            validate_gallery(3, ((0,),))
+            Gallery(3, ((0,),))
 
     @pytest.mark.parametrize("letter", [1.9, "2", True])
     def test_non_integer_letter_rejected(self, letter):
@@ -199,11 +213,6 @@ class TestWeight:
         galleries = [empty_gallery(2), empty_gallery(5)]
         for rank in range(2, 6):
             galleries += gallery_universe(rank, 5)
-            # Insertion output keeps full 1..n columns until they are stripped.
-            for letters in [range(1, rank + 1), (2, 1) + tuple(range(1, rank + 1))]:
-                tableau = rsk_insert(letters, rank)
-                assert tuple(range(1, rank + 1)) in tableau.columns
-                galleries.append(tableau)
         for g in galleries:
             mu, expected = weight(g), reference(g)
             assert mu == expected and hash(mu) == hash(expected), g

@@ -1,10 +1,12 @@
-"""Plactic normalization: SSYT predicate, insertion, stripping, oracle classes."""
+"""Plactic normalization: SSYT predicate, insertion, oracle classes."""
 
 import pytest
 
 from gallery_crystals import (
     Gallery,
+    InvalidRank,
     LetterNotInteger,
+    LetterOutOfRange,
     RankMismatch,
     empty_gallery,
     equivalent,
@@ -15,7 +17,6 @@ from gallery_crystals import (
     normal_form,
     oracle_plactic_classes,
     rsk_insert,
-    strip_full_columns,
     word,
 )
 from _support import G, gallery_universe
@@ -51,13 +52,20 @@ class TestRskInsert:
         # letters are taken last to first, so 3,2,1 inserts as 1, 2, 3
         assert format_gallery(rsk_insert((3, 2, 1), 3)) == "1|2|3"
 
-    def test_increasing_word_gives_full_column(self):
-        tableau = rsk_insert((1, 2, 3), 3)
-        assert tableau.columns == ((1, 2, 3),)
-
     def test_non_integer_letters_rejected(self):
         with pytest.raises(LetterNotInteger):
             rsk_insert(("2", 1.9), 3)
+
+    def test_non_integer_rank_rejected(self):
+        with pytest.raises(InvalidRank):
+            rsk_insert((1, 2), 2.5)
+
+    @pytest.mark.parametrize("letters", [(0, 1, 2), (1, 2, 4), (4,)])
+    def test_letters_out_of_range_rejected(self, letters):
+        # (0, 1, 2) and (1, 2, 4) insert as one column of length n that is
+        # not 1..n: it is kept, and the gallery's letter check refuses it.
+        with pytest.raises(LetterOutOfRange):
+            rsk_insert(letters, 3)
 
     def test_word_is_plactic_stable(self):
         # reinserting the word of an insertion tableau reproduces it
@@ -66,16 +74,20 @@ class TestRskInsert:
             assert rsk_insert(word(tableau), 3) == tableau
 
 
-class TestStripFullColumns:
+class TestFullColumnsDropped:
+    """Insertion drops the full columns 1..n of its tableau, and only those."""
+
     def test_full_column(self):
-        assert strip_full_columns(Gallery(3, ((1, 2, 3),))) == empty_gallery(3)
+        assert rsk_insert((1, 2, 3), 3) == empty_gallery(3)
+        assert rsk_insert((1, 2, 3, 1, 2, 3), 3) == empty_gallery(3)
 
     def test_no_full_column(self):
-        assert strip_full_columns(G("1,2|1", 3)) == G("1,2|1", 3)
+        assert rsk_insert(word(G("1,2|1", 3)), 3) == G("1,2|1", 3)
 
     def test_mixed(self):
-        tableau = Gallery(3, ((1, 2), (1, 2, 3)))
-        assert strip_full_columns(tableau) == Gallery(3, ((1, 2),))
+        # The word of the reading-order columns (1, 2), (1, 2, 3).
+        assert rsk_insert((1, 2, 1, 2, 3), 3) == Gallery(3, ((1, 2),))
+        assert format_gallery(normal_form(gallery_from_word((1, 2, 1, 2, 3), 3))) == "1,2"
 
 
 class TestNormalForm:
