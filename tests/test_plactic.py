@@ -52,6 +52,11 @@ class TestRskInsert:
         # letters are taken last to first, so 3,2,1 inserts as 1, 2, 3
         assert format_gallery(rsk_insert((3, 2, 1), 3)) == "1|2|3"
 
+    def test_increasing_word_gives_full_column(self):
+        # 1..k inserts as one column; at k == n that column is full and dropped
+        assert rsk_insert((1, 2, 3), 4).columns == ((1, 2, 3),)
+        assert rsk_insert((1, 2, 3), 3) == empty_gallery(3)
+
     def test_non_integer_letters_rejected(self):
         with pytest.raises(LetterNotInteger):
             rsk_insert(("2", 1.9), 3)
@@ -74,8 +79,8 @@ class TestRskInsert:
             assert rsk_insert(word(tableau), 3) == tableau
 
 
-class TestFullColumnsDropped:
-    """Insertion drops the full columns 1..n of its tableau, and only those."""
+class TestStripFullColumns:
+    """Insertion strips the full columns 1..n of its tableau, and only those."""
 
     def test_full_column(self):
         assert rsk_insert((1, 2, 3), 3) == empty_gallery(3)
