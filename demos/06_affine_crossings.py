@@ -10,9 +10,9 @@ pairwise disjoint, and each crossed wall lies weakly above the splice start.
 import random
 
 from gallery_crystals import (
+    Gallery,
     splice_disjointness,
     crossing_sets,
-    empty_gallery,
     format_gallery,
     gallery_from_word,
     parse_gallery,
@@ -20,7 +20,7 @@ from gallery_crystals import (
     random_gallery,
     spliced_gallery,
     stabilizer_condition,
-    weight_of_full_column_word,
+    weight,
 )
 
 staircase = gallery_from_word((1, 2, 3), 3)
@@ -30,7 +30,7 @@ for k, segment in enumerate(crossing_sets(staircase)):
     pretty = ", ".join(f"(e{r.a}-e{r.b}, {r.level})" for r in segment) or "(none)"
     print(f"  segment {k}: {pretty}")
 
-print("\nweight of the staircase word is zero:", weight_of_full_column_word(3).is_zero())
+print("\nweight of the staircase word is zero:", not any(weight(staircase).counts))
 
 gamma = parse_gallery("1|1", 3)
 delta = parse_gallery("2,3", 3)
@@ -50,4 +50,4 @@ ok = sum(
 print(f"\nrandomized check: {ok}/{trials} pairs satisfy both conditions")
 
 print("\ntrivial splice (both factors empty):",
-      splice_disjointness(empty_gallery(3), empty_gallery(3)).ok)
+      splice_disjointness(Gallery(3), Gallery(3)).ok)

@@ -34,12 +34,10 @@ from .galleries import (
     WeightVector,
     concat,
     dominance_leq,
-    empty_gallery,
     format_gallery,
     format_word,
     gallery_from_word,
     is_dominant,
-    pairing,
     parse_gallery,
     parse_word,
     path_vertices,
@@ -83,7 +81,6 @@ from .mv import (
     SurjectivityReport,
     fiber,
     image_weights,
-    make_label,
     mv_label,
     verify_surjectivity,
 )
@@ -91,13 +88,10 @@ from .affine import (
     AffineRoot,
     WallCheck,
     crossing_sets,
-    positive_roots,
     random_gallery,
     splice_disjointness,
     spliced_gallery,
     stabilizer_condition,
-    staircase_gallery,
-    weight_of_full_column_word,
 )
 
 __version__ = "0.1.0"

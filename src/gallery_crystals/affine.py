@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import RankMismatch
-from .galleries import Gallery, WeightVector, gallery_from_word, path_vertices, weight
+from .galleries import Gallery, path_vertices
 
 
 @dataclass(frozen=True, order=True)
@@ -34,11 +34,6 @@ class AffineRoot:
 
     def root_pairing(self, point: tuple[int, ...]) -> int:
         return point[self.a - 1] - point[self.b - 1]
-
-
-def positive_roots(rank: int) -> tuple[tuple[int, int], ...]:
-    """All pairs (a, b) with 1 <= a < b <= rank."""
-    return tuple((a, b) for a in range(1, rank + 1) for b in range(a + 1, rank + 1))
 
 
 def crossing_sets(gallery: Gallery) -> tuple[tuple[AffineRoot, ...], ...]:
@@ -56,16 +51,6 @@ def crossing_sets(gallery: Gallery) -> tuple[tuple[AffineRoot, ...], ...]:
     )
 
 
-def staircase_gallery(rank: int) -> Gallery:
-    """The word gallery of 1, 2, ..., n."""
-    return gallery_from_word(range(1, rank + 1), rank)
-
-
-def weight_of_full_column_word(rank: int) -> WeightVector:
-    """Weight of the staircase word gallery; equal to zero in the weight lattice."""
-    return weight(staircase_gallery(rank))
-
-
 def spliced_gallery(gamma: Gallery, delta: Gallery) -> tuple[Gallery, int]:
     """The gallery gamma * staircase * delta and the reading position of the splice.
 
@@ -76,7 +61,7 @@ def spliced_gallery(gamma: Gallery, delta: Gallery) -> tuple[Gallery, int]:
     if gamma.rank != delta.rank:
         raise RankMismatch(f"ranks {gamma.rank} and {delta.rank} differ")
     n = gamma.rank
-    columns = delta.columns + staircase_gallery(n).columns + gamma.columns
+    columns = delta.columns + tuple((a,) for a in range(1, n + 1)) + gamma.columns
     return Gallery._unsafe(n, columns), len(delta.columns)
 
 

@@ -117,10 +117,6 @@ class Gallery:
         return format_gallery(self)
 
 
-def empty_gallery(rank: int) -> Gallery:
-    return Gallery(rank, ())
-
-
 def word(gallery: Gallery) -> Word:
     """Concatenate the column entries, top to bottom, in reading order."""
     return tuple(a for col in gallery.columns for a in col)
@@ -238,22 +234,11 @@ class WeightVector:
     def is_dominant(self) -> bool:
         return all(a >= b for a, b in zip(self.counts, self.counts[1:]))
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.counts)
-
     def to_dominant_weight(self) -> "DominantWeight":
         if not self.is_dominant():
             raise NotDominant(f"counts {self.counts} are not weakly decreasing")
         coeffs = tuple(self.counts[k] - self.counts[k + 1] for k in range(self.rank - 1))
         return DominantWeight(coeffs)
-
-    @staticmethod
-    def zero(rank: int) -> "WeightVector":
-        return WeightVector((0,) * rank)
-
-
-def pairing(mu: WeightVector, i: int) -> int:
-    return mu.pairing(i)
 
 
 def dominance_leq(mu: WeightVector, lam: WeightVector) -> bool:
@@ -307,13 +292,6 @@ class DominantWeight:
         for i, m in enumerate(self.coeffs, start=1):
             shape.extend([i] * m)
         return tuple(shape)
-
-    def is_zero(self) -> bool:
-        return all(m == 0 for m in self.coeffs)
-
-    @staticmethod
-    def zero(rank: int) -> "DominantWeight":
-        return DominantWeight((0,) * (rank - 1))
 
     def __str__(self) -> str:
         return ",".join(str(m) for m in self.coeffs)

@@ -244,12 +244,6 @@ class Decomposition:
     entries: tuple[DecompositionEntry, ...]
     total: int
 
-    def multiplicity(self, lam: DominantWeight) -> int:
-        for entry in self.entries:
-            if entry.lam == lam:
-                return entry.multiplicity
-        return 0
-
 
 def decompose(shape: Shape, rank: int) -> Decomposition:
     """Multiplicities of the components of the shape crystal, by highest weight.

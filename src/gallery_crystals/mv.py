@@ -16,7 +16,7 @@ brute-force versions over the whole shape are test oracles.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 from .errors import InvalidLabel, RankMismatch
 from .galleries import (
@@ -64,10 +64,6 @@ class MVLabel:
         return weight(self.tableau)
 
 
-def make_label(lam: DominantWeight, tableau: Gallery) -> MVLabel:
-    return MVLabel(lam=lam, tableau=tableau)
-
-
 def mv_label(gallery: Gallery) -> MVLabel:
     """The label of the gallery: lambda from the normal form's shape."""
     tableau = normal_form(gallery)
@@ -80,23 +76,23 @@ def mv_label(gallery: Gallery) -> MVLabel:
 def fiber(label: MVLabel, shape: Shape, rank: int | None = None) -> tuple[Gallery, ...]:
     """All galleries of the shape whose normal form is the label's tableau.
 
-    The e-moves that raise the tableau to the top of B(lambda), replayed in
-    reverse as f-moves, take each dominant gallery of weight lambda to the
-    fiber's one gallery in its component.  Sorted by (shape, columns).  A
-    ``rank`` other than the tableau's raises `RankMismatch`.
+    Each component whose top, a dominant gallery, has lambda's weight holds
+    one fiber member: the e-moves raising the tableau to the top of
+    B(lambda), replayed in reverse as f-moves, take the top to it.  With no
+    such top the fiber is empty and the tableau is not raised; otherwise it
+    has at most the shape's boxes.  Sorted by (shape, columns).  A ``rank``
+    other than the tableau's raises `RankMismatch`.
     """
     n = label.tableau.rank if rank is None else rank
     if n != label.tableau.rank:
         raise RankMismatch(f"label rank {label.tableau.rank} and rank {n} differ")
     shape = validate_shape(shape, n)
-    top, raised_by = _raise_to_source(label.tableau)
-    top_weight = weight(top)
-    hits = []
-    for gallery in dominant_galleries(shape, n):
-        if weight(gallery) == top_weight:
-            for i in reversed(raised_by):
-                gallery = f(gallery, i)
-            hits.append(gallery)
+    lam = label.lam.to_weight_vector()
+    tops = [g for g in dominant_galleries(shape, n) if weight(g) == lam]
+    if not tops:
+        return ()
+    _, raised_by = _raise_to_source(label.tableau)
+    hits = [reduce(f, reversed(raised_by), top) for top in tops]
     return tuple(sorted(hits, key=lambda g: (g.shape, g.columns)))
 
 

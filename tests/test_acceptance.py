@@ -13,13 +13,13 @@ from collections import Counter
 
 from gallery_crystals import (
     AffineRoot,
+    Gallery,
     splice_disjointness,
     connected_component,
     count_galleries,
     crossing_sets,
     decompose,
     e,
-    empty_gallery,
     enumerate_ssyt,
     epsilon,
     f,
@@ -93,7 +93,7 @@ def test_criterion_2_dominance(capsys):
         nu, delta = G("1,2|1", 3), G("2|3|1", 3)
         assert is_dominant(nu) and not is_dominant(delta)
         assert weight(nu).counts == (2, 1, 0)
-        assert weight(delta).is_zero()
+        assert not any(weight(delta).counts)
 
     criterion(2, "dominance and weights of the rank-3 examples", 1.0, body)
 
@@ -103,7 +103,7 @@ def test_criterion_3_plactic(capsys):
         for text in ["1,2|1", "1|2|1", "1|2|1|3|2|1"]:
             assert cli_output(capsys, "normal-form", "--rank", "3", text) == "1,2|1\n"
             assert format_gallery(normal_form(G(text, 3))) == "1,2|1"
-        assert normal_form(gallery_from_word((1, 2, 3), 3)) == empty_gallery(3)
+        assert normal_form(gallery_from_word((1, 2, 3), 3)) == Gallery(3)
         assert cli_output(capsys, "normal-form", "--rank", "3", "3|2|1") == "\n"
 
     criterion(3, "plactic normal forms incl. staircase collapse", 1.0, body)
@@ -152,7 +152,7 @@ def test_criterion_5_crossing_sets(capsys):
             (AffineRoot(2, 3, 0),),
             (),
         )
-        assert splice_disjointness(empty_gallery(3), empty_gallery(3)).ok
+        assert splice_disjointness(Gallery(3), Gallery(3)).ok
         doc = json.loads(
             cli_output(capsys, "crossings", "--rank", "3", "--format", "json", "3|2|1")
         )
@@ -297,7 +297,7 @@ def test_criterion_9_label_map():
 def test_criterion_10_splice_properties():
     def body():
         for rank in (2, 3, 4):
-            small = [empty_gallery(rank)]
+            small = [Gallery(rank)]
             for shape in shapes_up_to(2 * (rank - 1), rank - 1):
                 if len(shape) <= 2:
                     small.extend(galleries_of_shape(shape, rank))

@@ -1,37 +1,26 @@
 """Affine crossing sets and the staircase splice wall checks."""
 
+import itertools
 import random
 
 import pytest
 
 from gallery_crystals import (
     AffineRoot,
+    Gallery,
     RankMismatch,
     WeightVector,
     splice_disjointness,
     crossing_sets,
-    empty_gallery,
     gallery_from_word,
     galleries_of_shape,
     path_vertices,
-    positive_roots,
     random_gallery,
     spliced_gallery,
     stabilizer_condition,
-    weight_of_full_column_word,
+    weight,
 )
 from _support import G, shapes_up_to
-
-
-class TestPositiveRoots:
-    def test_rank_three(self):
-        assert positive_roots(3) == ((1, 2), (1, 3), (2, 3))
-
-    def test_rank_two(self):
-        assert positive_roots(2) == ((1, 2),)
-
-    def test_rank_four_count(self):
-        assert len(positive_roots(4)) == 6
 
 
 class TestCrossingSets:
@@ -44,7 +33,7 @@ class TestCrossingSets:
         )
 
     def test_empty(self):
-        assert crossing_sets(empty_gallery(3)) == ()
+        assert crossing_sets(Gallery(3)) == ()
 
     def test_single_box_rank_two(self):
         assert crossing_sets(G("1", 2)) == ((AffineRoot(1, 2, 0),),)
@@ -68,7 +57,7 @@ class TestCrossingSets:
         for g in [G("2|3|1", 3), G("1,3|2|2,3", 4), gallery_from_word((3, 1, 2, 2), 3)]:
             verts = path_vertices(g)
             segments = crossing_sets(g)
-            for a, b in positive_roots(g.rank):
+            for a, b in itertools.combinations(range(1, g.rank + 1), 2):
                 ups = sum(
                     1 for segment in segments for r in segment if (r.a, r.b) == (a, b)
                 )
@@ -97,23 +86,23 @@ class TestSplicedGallery:
 class TestWeightOfFullColumnWord:
     @pytest.mark.parametrize("rank", [2, 3, 5])
     def test_zero(self, rank):
-        assert weight_of_full_column_word(rank) == WeightVector.zero(rank)
+        assert weight(gallery_from_word(range(1, rank + 1), rank)) == WeightVector((0,) * rank)
 
 
 class TestAppendixChecks:
     def test_trivial_pair(self):
-        assert splice_disjointness(empty_gallery(3), empty_gallery(3)).ok
-        assert stabilizer_condition(empty_gallery(3), empty_gallery(3)).ok
+        assert splice_disjointness(Gallery(3), Gallery(3)).ok
+        assert stabilizer_condition(Gallery(3), Gallery(3)).ok
 
     def test_single_box_gamma(self):
-        assert splice_disjointness(G("1", 3), empty_gallery(3)).ok
+        assert splice_disjointness(G("1", 3), Gallery(3)).ok
 
     def test_repeated_column_gamma(self):
-        assert stabilizer_condition(G("1|1", 3), empty_gallery(3)).ok
+        assert stabilizer_condition(G("1|1", 3), Gallery(3)).ok
 
     def test_exhaustive_one_column_pairs(self):
         rank = 3
-        singles = [empty_gallery(rank)] + [
+        singles = [Gallery(rank)] + [
             g for shape in shapes_up_to(2, rank - 1) if len(shape) == 1
             for g in galleries_of_shape(shape, rank)
         ]

@@ -4,6 +4,7 @@ import argparse
 import hashlib
 import json
 import os
+import random
 import re
 import shlex
 import subprocess
@@ -14,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from gallery_crystals import cli, plactic
-from gallery_crystals.affine import AffineRoot, WallCheck
+from gallery_crystals.affine import AffineRoot, WallCheck, crossing_sets, random_gallery
 from gallery_crystals.cli import run
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -468,6 +469,7 @@ class TestStrictNumbers:
 
 class TestTooLarge:
     EIGHT_DOMINOES = "2,2,2,2,2,2,2,2"  # 10^8 galleries at rank 5
+    LONG_COLUMNS = "|".join([",".join(map(str, range(1, 71)))] * 300)
 
     @pytest.mark.parametrize(
         "command, argv",
@@ -485,6 +487,9 @@ class TestTooLarge:
             ("appendix-check", ["--rank", "3000"]),
             # (1 + cases) x 3 positive roots
             ("appendix-check", ["--rank", "3", "--seed", "1", "--cases", "100000000"]),
+            # 300 columns of 4,970 affine roots each, 600 when spliced
+            ("crossings", ["--rank", "141", "--format", "json", LONG_COLUMNS]),
+            ("appendix-check", ["--rank", "141", "--gamma", LONG_COLUMNS, "--delta", LONG_COLUMNS]),
         ],
     )
     def test_rejected_up_front(self, capsys, command, argv):
@@ -500,6 +505,20 @@ class TestTooLarge:
         assert invoke(capsys, "weight", "--rank", "141", "")[0] == 0
         code, _, err = invoke(capsys, "weight", "--rank", "142", "")
         assert code == 1 and json.loads(err)["error"] == "too-large"
+
+    def test_affine_roots_counted(self, capsys):
+        # Each column 1 at rank 3 crosses (1, 2) and (1, 3): 5,000 columns
+        # list 10,000 affine roots, 5,001 list 10,002.
+        assert invoke(capsys, "crossings", "--rank", "3", "|".join(["1"] * 5000))[0] == 0
+        code, out, err = invoke(capsys, "crossings", "--rank", "3", "|".join(["1"] * 5001))
+        assert code == 1 and out == "" and json.loads(err)["error"] == "too-large"
+
+    def test_affine_root_count_matches_crossing_sets(self):
+        rng = random.Random(5)
+        for rank in range(2, 10):
+            for _ in range(200):
+                g = random_gallery(rng, rank, max_columns=8)
+                assert cli._crossing_roots(g) == sum(map(len, crossing_sets(g)))
 
     def test_random_pairs_counted_with_roots(self, capsys):
         # 101 x comb(14, 2) = 9,191 and 101 x comb(15, 2) = 10,605 roots

@@ -28,7 +28,6 @@ from gallery_crystals import (
     decompose,
     dominance_leq,
     dominant_galleries,
-    empty_gallery,
     enumerate_ssyt,
     format_gallery,
     format_word,
@@ -36,7 +35,6 @@ from gallery_crystals import (
     gallery_from_word,
     image_weights,
     is_dominant,
-    pairing,
     parse_gallery,
     parse_word,
     path_vertices,
@@ -148,7 +146,7 @@ class TestWord:
         assert word(G("3|2|1|5|2", 5)) == (2, 5, 1, 2, 3)
 
     def test_empty(self):
-        assert word(empty_gallery(4)) == ()
+        assert word(Gallery(4)) == ()
 
 
 class TestGalleryFromWord:
@@ -156,7 +154,7 @@ class TestGalleryFromWord:
         assert format_gallery(gallery_from_word((2, 5, 1, 2, 3), 5)) == "3|2|1|5|2"
 
     def test_empty(self):
-        assert gallery_from_word((), 3) == empty_gallery(3)
+        assert gallery_from_word((), 3) == Gallery(3)
 
     def test_delta(self):
         assert format_gallery(gallery_from_word((1, 3, 2), 3)) == "2|3|1"
@@ -178,8 +176,8 @@ class TestConcat:
 
     def test_identity(self):
         g = G("2|3|1", 3)
-        assert concat(empty_gallery(3), g) == g
-        assert concat(g, empty_gallery(3)) == g
+        assert concat(Gallery(3), g) == g
+        assert concat(g, Gallery(3)) == g
 
     def test_word_and_shape(self):
         left = gallery_from_word((1, 2, 3), 3)
@@ -199,18 +197,18 @@ class TestWeight:
 
     def test_delta_is_zero(self):
         mu = weight(G("2|3|1", 3))
-        assert mu == WeightVector.zero(3)
+        assert mu == WeightVector((0,) * 3)
         assert mu.counts == (0, 0, 0)
 
     def test_empty(self):
-        assert weight(empty_gallery(4)).counts == (0, 0, 0, 0)
+        assert weight(Gallery(4)).counts == (0, 0, 0, 0)
 
     def test_matches_counter_reference(self):
         def reference(gallery):
             tallies = Counter(chain.from_iterable(gallery.columns))
             return WeightVector(tuple(tallies.get(a, 0) for a in range(1, gallery.rank + 1)))
 
-        galleries = [empty_gallery(2), empty_gallery(5)]
+        galleries = [Gallery(2), Gallery(5)]
         for rank in range(2, 6):
             galleries += gallery_universe(rank, 5)
         for g in galleries:
@@ -233,7 +231,7 @@ class TestPathVertices:
         assert path_vertices(g) == ((0, 0, 0), (1, 0, 0), (1, 1, 0), (1, 1, 1))
 
     def test_empty(self):
-        assert path_vertices(empty_gallery(3)) == ((0, 0, 0),)
+        assert path_vertices(Gallery(3)) == ((0, 0, 0),)
 
     def test_last_vertex_is_weight(self):
         g = G("3|1,2|5|2", 5)
@@ -248,7 +246,7 @@ class TestDominance:
         assert not is_dominant(G("2|3|1", 3))
 
     def test_empty_dominant(self):
-        assert is_dominant(empty_gallery(3))
+        assert is_dominant(Gallery(3))
 
     def test_matches_word_gallery(self):
         for text in ["1,2|1", "2|3|1", "3|1,2|5|2"]:
@@ -260,22 +258,22 @@ class TestDominance:
 class TestPairing:
     def test_values(self):
         mu = WeightVector((2, 1, 0))
-        assert pairing(mu, 1) == 1
-        assert pairing(mu, 2) == 1
+        assert mu.pairing(1) == 1
+        assert mu.pairing(2) == 1
 
     def test_zero_weight(self):
         mu = WeightVector((1, 1, 1))
-        assert pairing(mu, 1) == 0
-        assert pairing(mu, 2) == 0
+        assert mu.pairing(1) == 0
+        assert mu.pairing(2) == 0
 
     def test_shift_invariance(self):
         for shift in (-2, 0, 5):
             mu = WeightVector((2 + shift, 1 + shift, 0 + shift))
-            assert pairing(mu, 1) == 1 and pairing(mu, 2) == 1
+            assert mu.pairing(1) == 1 and mu.pairing(2) == 1
 
     def test_index_check(self):
         with pytest.raises(IndexOutOfRange):
-            pairing(WeightVector((1, 0)), 2)
+            WeightVector((1, 0)).pairing(2)
 
 
 class TestWeightConversions:
@@ -284,7 +282,7 @@ class TestWeightConversions:
         assert lam.to_weight_vector().counts == (2, 1, 0)
 
     def test_zero(self):
-        assert DominantWeight.zero(4).to_weight_vector() == WeightVector.zero(4)
+        assert DominantWeight((0,) * 3).to_weight_vector() == WeightVector((0,) * 4)
 
     def test_all_ones_counts(self):
         assert WeightVector((1, 1, 1)).to_dominant_weight() == DominantWeight((0, 0))

@@ -2,21 +2,22 @@
 
 import pytest
 
+from gallery_crystals import mv
 from gallery_crystals import (
     DominantWeight,
+    Gallery,
     InvalidLabel,
+    MVLabel,
     RankMismatch,
     WeightVector,
     canonical_dominant_gallery,
     connected_component,
-    empty_gallery,
     f,
     fiber,
     format_gallery,
     gallery_from_word,
     highest_weight_crystal,
     image_weights,
-    make_label,
     mv_label,
     normal_form,
     verify_surjectivity,
@@ -40,15 +41,15 @@ class TestMvLabel:
         assert label.mu == WeightVector((2, 1, 0))
 
     def test_empty(self):
-        label = mv_label(empty_gallery(3))
-        assert label.lam.is_zero()
-        assert label.tableau == empty_gallery(3)
-        assert label.mu.is_zero()
+        label = mv_label(Gallery(3))
+        assert not any(label.lam.coeffs)
+        assert label.tableau == Gallery(3)
+        assert not any(label.mu.counts)
 
     def test_staircase_word(self):
         label = mv_label(gallery_from_word((1, 2, 3), 3))
-        assert label.lam.is_zero() and label.mu.is_zero()
-        assert label.tableau == empty_gallery(3)
+        assert not any(label.lam.coeffs) and not any(label.mu.counts)
+        assert label.tableau == Gallery(3)
 
     def test_mu_matches_tableau(self):
         for g in [G("2|3|1", 3), G("3|1,2|5|2", 5), G("1,3|2", 3)]:
@@ -57,34 +58,44 @@ class TestMvLabel:
 
     def test_label_validation(self):
         with pytest.raises(InvalidLabel):
-            make_label(DominantWeight((1, 1)), G("1|1", 3))  # shape mismatch
+            MVLabel(DominantWeight((1, 1)), G("1|1", 3))  # shape mismatch
         with pytest.raises(InvalidLabel):
-            make_label(DominantWeight((2, 0)), G("2|1", 3))  # not an SSYT
+            MVLabel(DominantWeight((2, 0)), G("2|1", 3))  # not an SSYT
 
 
 class TestFiber:
     def test_adjoint_label(self):
-        label = make_label(DominantWeight((1, 1)), G("1,2|1", 3))
+        label = MVLabel(DominantWeight((1, 1)), G("1,2|1", 3))
         hits = fiber(label, (1, 1, 1))
         assert {format_gallery(g) for g in hits} == {"2|1|1", "1|2|1"}
 
     def test_zero_label(self):
-        label = make_label(DominantWeight((0, 0)), empty_gallery(3))
+        label = MVLabel(DominantWeight((0, 0)), Gallery(3))
         hits = fiber(label, (1, 1, 1))
         assert [format_gallery(g) for g in hits] == ["3|2|1"]
         assert hits[0] == gallery_from_word((1, 2, 3), 3)
 
     def test_empty_fiber(self):
-        label = make_label(DominantWeight((2, 0)), G("1|1", 3))
+        label = MVLabel(DominantWeight((2, 0)), G("1|1", 3))
         assert fiber(label, (2,)) == ()
 
+    def test_empty_fiber_leaves_the_tableau_unraised(self, monkeypatch):
+        # A tableau far larger than the shape has an empty fiber, found from
+        # the shape's dominant galleries alone.
+        def refuse(gallery):
+            raise AssertionError("the tableau was raised")
+
+        monkeypatch.setattr(mv, "_raise_to_source", refuse)
+        label = MVLabel(DominantWeight((0, 50)), G("|".join(["2,3"] * 50), 3))
+        assert fiber(label, (1,)) == ()
+
     def test_fiber_members_map_back(self):
-        label = make_label(DominantWeight((1, 1)), G("1,2|1", 3))
+        label = MVLabel(DominantWeight((1, 1)), G("1,2|1", 3))
         for g in fiber(label, (2, 1)):
             assert normal_form(g) == label.tableau
 
     def test_rank_mismatch(self):
-        label = make_label(DominantWeight((1, 1)), G("1,2|1", 3))
+        label = MVLabel(DominantWeight((1, 1)), G("1,2|1", 3))
         with pytest.raises(RankMismatch):
             fiber(label, (1, 1, 1), 4)
         assert fiber(label, (1, 1, 1), 3) == fiber(label, (1, 1, 1))

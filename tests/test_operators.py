@@ -8,7 +8,6 @@ from gallery_crystals import (
     Gallery,
     IndexOutOfRange,
     e,
-    empty_gallery,
     epsilon,
     f,
     format_gallery,
@@ -35,7 +34,7 @@ class TestISignature:
         assert i_signature(G("3|1,2|5|2", 5), 1) == tags("000-")
 
     def test_empty(self):
-        assert i_signature(empty_gallery(4), 2) == ()
+        assert i_signature(Gallery(4), 2) == ()
 
     def test_index_out_of_range(self):
         with pytest.raises(IndexOutOfRange):
@@ -112,7 +111,7 @@ class TestLoweringOperator:
         assert f(G("3|1,2|5|2", 5), 1) is None
 
     def test_empty(self):
-        assert f(empty_gallery(3), 1) is None
+        assert f(Gallery(3), 1) is None
 
 
 class TestRaisingOperator:
@@ -124,7 +123,7 @@ class TestRaisingOperator:
         assert e(nu, 1) is None and e(nu, 2) is None
 
     def test_empty(self):
-        assert e(empty_gallery(3), 2) is None
+        assert e(Gallery(3), 2) is None
 
 
 class TestEpsilonPhi:
@@ -138,8 +137,8 @@ class TestEpsilonPhi:
 
     def test_empty(self):
         for i in (1, 2):
-            assert epsilon(empty_gallery(3), i) == 0
-            assert phi(empty_gallery(3), i) == 0
+            assert epsilon(Gallery(3), i) == 0
+            assert phi(Gallery(3), i) == 0
 
     def test_matches_repeated_application(self):
         for g in gallery_universe(3, 4):

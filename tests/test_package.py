@@ -1,10 +1,15 @@
 """The package's public names."""
 
 import ast
+import importlib
 import types
 from pathlib import Path
 
+import pytest
+
 import gallery_crystals
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def relative_import_names() -> list[str]:
@@ -32,3 +37,23 @@ def test_star_import_binds_exactly_all():
     exec("from gallery_crystals import *", namespace)
     del namespace["__builtins__"]
     assert sorted(namespace) == sorted(gallery_crystals.__all__)
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["empty_gallery", "pairing", "make_label", "staircase_gallery",
+     "weight_of_full_column_word", "positive_roots"],
+)
+def test_aliases_are_gone(name):
+    # Each restated a public operation: Gallery(n), mu.pairing(i), MVLabel(...),
+    # the staircase word gallery, its weight, and the pairs a < b.
+    assert not hasattr(gallery_crystals, name)
+
+
+def test_pyproject_matches_the_package():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert project["version"] == gallery_crystals.__version__
+    module, _, attribute = project["scripts"]["gallery-crystals"].partition(":")
+    entry = getattr(importlib.import_module(module), attribute)
+    assert entry is gallery_crystals.cli.main

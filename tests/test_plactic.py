@@ -8,7 +8,6 @@ from gallery_crystals import (
     LetterNotInteger,
     LetterOutOfRange,
     RankMismatch,
-    empty_gallery,
     equivalent,
     f,
     format_gallery,
@@ -38,7 +37,7 @@ class TestIsSsyt:
         assert not is_ssyt(G("2|1", 3))
 
     def test_empty(self):
-        assert is_ssyt(empty_gallery(3))
+        assert is_ssyt(Gallery(3))
 
 
 class TestRskInsert:
@@ -55,7 +54,7 @@ class TestRskInsert:
     def test_increasing_word_gives_full_column(self):
         # 1..k inserts as one column; at k == n that column is full and dropped
         assert rsk_insert((1, 2, 3), 4).columns == ((1, 2, 3),)
-        assert rsk_insert((1, 2, 3), 3) == empty_gallery(3)
+        assert rsk_insert((1, 2, 3), 3) == Gallery(3)
 
     def test_non_integer_letters_rejected(self):
         with pytest.raises(LetterNotInteger):
@@ -83,8 +82,8 @@ class TestStripFullColumns:
     """Insertion strips the full columns 1..n of its tableau, and only those."""
 
     def test_full_column(self):
-        assert rsk_insert((1, 2, 3), 3) == empty_gallery(3)
-        assert rsk_insert((1, 2, 3, 1, 2, 3), 3) == empty_gallery(3)
+        assert rsk_insert((1, 2, 3), 3) == Gallery(3)
+        assert rsk_insert((1, 2, 3, 1, 2, 3), 3) == Gallery(3)
 
     def test_no_full_column(self):
         assert rsk_insert(word(G("1,2|1", 3)), 3) == G("1,2|1", 3)
@@ -107,7 +106,7 @@ class TestNormalForm:
         assert format_gallery(normal_form(G("1|2|1|3|2|1", 3))) == "1,2|1"
 
     def test_staircase_word_collapses(self):
-        assert normal_form(gallery_from_word((1, 2, 3), 3)) == empty_gallery(3)
+        assert normal_form(gallery_from_word((1, 2, 3), 3)) == Gallery(3)
 
     def test_idempotent(self):
         for g in gallery_universe(3, 4):
