@@ -18,19 +18,17 @@ sits at a level at least the pairing with the splice's start vertex.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import RankMismatch
 from .galleries import Gallery, path_vertices
 
 
-@dataclass(frozen=True, order=True)
-class AffineRoot:
-    """Positive root epsilon_a - epsilon_b with an integer wall level."""
+class AffineRoot(namedtuple("AffineRoot", "a b level")):
+    """Positive root epsilon_a - epsilon_b with an integer wall level; roots
+    sort by (a, b, level)."""
 
-    a: int
-    b: int
-    level: int
+    __slots__ = ()
 
     def root_pairing(self, point: tuple[int, ...]) -> int:
         return point[self.a - 1] - point[self.b - 1]
@@ -65,12 +63,10 @@ def spliced_gallery(gamma: Gallery, delta: Gallery) -> tuple[Gallery, int]:
     return Gallery._unsafe(n, columns), len(delta.columns)
 
 
-@dataclass(frozen=True)
-class WallCheck:
+class WallCheck(namedtuple("WallCheck", "ok witness", defaults=(None,))):
     """Outcome of a splice wall condition, with a witness on failure."""
 
-    ok: bool
-    witness: tuple | None = None
+    __slots__ = ()
 
 
 def splice_disjointness(gamma: Gallery, delta: Gallery) -> WallCheck:

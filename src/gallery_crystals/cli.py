@@ -33,9 +33,9 @@ import os
 import random
 import re
 import sys
+from collections import namedtuple
 from itertools import chain
 from math import comb
-from typing import Callable, NamedTuple
 
 from . import emit
 from .affine import random_gallery, splice_disjointness, spliced_gallery, stabilizer_condition
@@ -274,16 +274,12 @@ def _appendix_text(document: dict) -> list[str]:
     return lines
 
 
-class Command(NamedTuple):
+class Command(namedtuple("Command", "name help arguments compute formats")):
     """One subcommand.  ``arguments`` are (flags, kwargs) pairs for
     `add_argument`; ``compute(args)`` returns the result, and
     ``formats[f](result)`` its output lines for ``--format f`` (default text)."""
 
-    name: str
-    help: str
-    arguments: tuple
-    compute: Callable
-    formats: dict
+    __slots__ = ()
 
 
 _GALLERY = (("gallery",), {})

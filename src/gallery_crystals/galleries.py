@@ -15,7 +15,7 @@ the chosen lift, which is fixed here to start at the origin.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from operator import attrgetter
 
 from .errors import (
     ColumnTooLong,
@@ -59,8 +59,46 @@ def _check_index(i: int, rank: int) -> None:
         raise IndexOutOfRange(f"simple root index {i} not in 1..{rank - 1}")
 
 
-@dataclass(frozen=True)
-class Gallery:
+_set = object.__setattr__
+
+
+class _Value:
+    """Immutable value: ``__init__`` checks its input, ``_unsafe`` trusts it, and
+    `_freeze` sets the ``_fields`` and their hash, that of the field tuple,
+    once.  Equal values have the same class and fields."""
+
+    __slots__ = ("_hash",)
+
+    def __init_subclass__(cls) -> None:
+        cls._key = attrgetter(*cls._fields)
+
+    def _freeze(self, *values) -> None:
+        for name, value in zip(self._fields, values):
+            _set(self, name, value)
+        _set(self, "_hash", hash(values))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == other._key(other)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot change field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class Gallery(_Value):
     """A proper gallery: strictly increasing columns of length at most
     ``rank - 1`` over 1..rank, in reading order.
 
@@ -72,46 +110,48 @@ class Gallery:
     them, and stores members of other int subclasses as plain ints.
     """
 
-    rank: int
-    columns: tuple[tuple[int, ...], ...] = ()
+    __slots__ = _fields = ("rank", "columns")
 
-    def __post_init__(self) -> None:
-        _check_rank(self.rank)
-        cols = tuple(tuple(col) for col in self.columns)
+    def __init__(self, rank: int, columns: tuple[tuple[int, ...], ...] = ()) -> None:
+        _check_rank(rank)
+        cols = tuple(tuple(col) for col in columns)
         if any(type(a) is not int for col in cols for a in col):
             cols = tuple(_plain_ints(col) for col in cols)
-        object.__setattr__(self, "columns", cols)
         for col in cols:
             if not col:
                 raise ShapeInvalid("empty column in gallery")
-            if len(col) > self.rank:
-                raise ColumnTooLong(f"column {col} longer than rank {self.rank}")
+            if len(col) > rank:
+                raise ColumnTooLong(f"column {col} longer than rank {rank}")
             for a in col:
-                if not 1 <= a <= self.rank:
-                    raise LetterOutOfRange(f"letter {a} not in 1..{self.rank}")
+                if not 1 <= a <= rank:
+                    raise LetterOutOfRange(f"letter {a} not in 1..{rank}")
             if any(x >= y for x, y in zip(col, col[1:])):
                 raise NonIncreasingColumn(f"column {col} is not strictly increasing")
         for col in cols:
-            if len(col) == self.rank:
+            if len(col) == rank:
                 raise ColumnTooLong(
-                    f"column {col} has length {len(col)}; galleries allow at most {self.rank - 1}"
+                    f"column {col} has length {len(col)}; galleries allow at most {rank - 1}"
                 )
+        self._freeze(rank, cols)
 
     @classmethod
     def _unsafe(cls, rank: int, columns: tuple[tuple[int, ...], ...]) -> "Gallery":
         # Fast path for internal construction from already-validated columns.
         obj = object.__new__(cls)
-        object.__setattr__(obj, "rank", rank)
-        object.__setattr__(obj, "columns", columns)
+        _set(obj, "rank", rank)
+        _set(obj, "columns", columns)
+        _set(obj, "_hash", None)
         return obj
+
+    def __hash__(self) -> int:
+        if self._hash is None:  # from _unsafe: hashed on first use, as many never are
+            _set(self, "_hash", hash((self.rank, self.columns)))
+        return self._hash
 
     @property
     def shape(self) -> Shape:
         """Column lengths in reading order."""
         return tuple(len(col) for col in self.columns)
-
-    def __len__(self) -> int:
-        return len(self.columns)
 
     def __str__(self) -> str:
         return format_gallery(self)
@@ -183,22 +223,23 @@ def _shift_to_zero(counts: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(c - low for c in counts) if low else counts
 
 
-@dataclass(frozen=True)
-class WeightVector:
+class WeightVector(_Value):
     """Element of Z^n modulo the all-ones vector, stored with min coordinate 0."""
 
-    counts: tuple[int, ...]
+    __slots__ = _fields = ("counts",)
 
-    def __post_init__(self) -> None:
-        counts = _plain_ints(self.counts, what="letter count")
+    def __init__(self, counts: tuple[int, ...]) -> None:
+        counts = _plain_ints(counts, what="letter count")
         _check_rank(len(counts))
-        object.__setattr__(self, "counts", _shift_to_zero(counts))
+        self._freeze(_shift_to_zero(counts))
 
     @classmethod
     def _unsafe(cls, counts: tuple[int, ...]) -> "WeightVector":
         # Fast path for internal construction from a tuple of at least two ints.
         obj = object.__new__(cls)
-        object.__setattr__(obj, "counts", _shift_to_zero(counts))
+        counts = _shift_to_zero(counts)
+        _set(obj, "counts", counts)
+        _set(obj, "_hash", hash((counts,)))
         return obj
 
     @property
@@ -209,13 +250,6 @@ class WeightVector:
         """Pairing with the i-th simple (co)root: counts[i] - counts[i+1]."""
         _check_index(i, self.rank)
         return self.counts[i - 1] - self.counts[i]
-
-    def __add__(self, other: "WeightVector") -> "WeightVector":
-        if not isinstance(other, WeightVector):
-            return NotImplemented
-        if self.rank != other.rank:
-            raise RankMismatch("weight vectors of different ranks")
-        return WeightVector(tuple(a + b for a, b in zip(self.counts, other.counts)))
 
     def add_simple_root(self, i: int) -> "WeightVector":
         _check_index(i, self.rank)
@@ -258,18 +292,17 @@ def dominance_leq(mu: WeightVector, lam: WeightVector) -> bool:
     return prefix == 0
 
 
-@dataclass(frozen=True)
-class DominantWeight:
+class DominantWeight(_Value):
     """Dominant weight in fundamental coordinates (m_1, ..., m_{n-1})."""
 
-    coeffs: tuple[int, ...]
+    __slots__ = _fields = ("coeffs",)
 
-    def __post_init__(self) -> None:
-        coeffs = _plain_ints(self.coeffs, NotDominant, "fundamental coordinate")
+    def __init__(self, coeffs: tuple[int, ...]) -> None:
+        coeffs = _plain_ints(coeffs, NotDominant, "fundamental coordinate")
         _check_rank(len(coeffs) + 1)
         if any(m < 0 for m in coeffs):
             raise NotDominant(f"fundamental coordinates {coeffs} must be nonnegative")
-        object.__setattr__(self, "coeffs", coeffs)
+        self._freeze(coeffs)
 
     @property
     def rank(self) -> int:

@@ -20,7 +20,7 @@ the independent check on the crystal side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from itertools import combinations, product
 from math import comb
@@ -36,13 +36,19 @@ from .galleries import (
 from .operators import e, f
 
 
-@dataclass(frozen=True)
 class CrystalGraph:
-    """Immutable labeled digraph; edges are (source, target, i) with target = f_i(source)."""
+    """Labeled digraph, not changed once built; edges are (source, target, i)
+    with target = f_i(source).  Graphs with equal fields are equal."""
 
-    rank: int
-    vertices: frozenset[Gallery]
-    edges: frozenset[tuple[Gallery, Gallery, int]]
+    def __init__(self, rank: int, vertices: frozenset, edges: frozenset) -> None:
+        self.rank = rank
+        self.vertices = vertices
+        self.edges = edges
+
+    def __eq__(self, other):
+        if other.__class__ is not CrystalGraph:
+            return NotImplemented
+        return (self.rank, self.vertices, self.edges) == (other.rank, other.vertices, other.edges)
 
     @cached_property
     def _vertex_order(self) -> tuple[Gallery, ...]:
@@ -51,7 +57,7 @@ class CrystalGraph:
     def sorted_vertices(self) -> list[Gallery]:
         """Canonical vertex order: lexicographic on (shape, columns in reading order).
 
-        The graph is immutable, so the order is computed once and reused.
+        The order is computed on first use and reused.
         """
         return list(self._vertex_order)
 
@@ -228,21 +234,13 @@ def count_galleries(shape: Shape, rank: int) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class DecompositionEntry:
-    lam: DominantWeight
-    multiplicity: int
-    representatives: tuple[Gallery, ...]
+DecompositionEntry = namedtuple("DecompositionEntry", "lam multiplicity representatives")
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(namedtuple("Decomposition", "rank shape entries total")):
     """Connected components of the shape crystal, grouped by highest weight."""
 
-    rank: int
-    shape: Shape
-    entries: tuple[DecompositionEntry, ...]
-    total: int
+    __slots__ = ()
 
 
 def decompose(shape: Shape, rank: int) -> Decomposition:

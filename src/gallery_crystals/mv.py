@@ -15,15 +15,16 @@ brute-force versions over the whole shape are test oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, reduce
+from collections import namedtuple
+from functools import reduce
 
 from .errors import InvalidLabel, RankMismatch
 from .galleries import (
     DominantWeight,
     Gallery,
     Shape,
-    WeightVector,
+    _set,
+    _Value,
     dominance_leq,
     validate_shape,
     weight,
@@ -34,34 +35,34 @@ from .graphs import (
     decompose,
     dominant_galleries,
     enumerate_ssyt,
+    weyl_dimension,
 )
 from .operators import f
 from .plactic import is_ssyt, normal_form
 
 
-@dataclass(frozen=True)
-class MVLabel:
+class MVLabel(_Value):
     """Label (lambda, tableau); mu is the tableau's weight."""
 
-    lam: DominantWeight
-    tableau: Gallery
+    __slots__ = ("lam", "tableau", "mu")
+    _fields = ("lam", "tableau")
 
-    def __post_init__(self) -> None:
-        if self.lam.rank != self.tableau.rank:
+    def __init__(self, lam: DominantWeight, tableau: Gallery) -> None:
+        if lam.rank != tableau.rank:
             raise InvalidLabel("weight and tableau ranks differ")
-        if not is_ssyt(self.tableau):
-            raise InvalidLabel(f"{self.tableau} is not a semistandard Young tableau")
-        if self.tableau.shape != self.lam.column_shape():
+        if not is_ssyt(tableau):
+            raise InvalidLabel(f"{tableau} is not a semistandard Young tableau")
+        if tableau.shape != lam.column_shape():
             raise InvalidLabel(
-                f"tableau shape {self.tableau.shape} does not match "
-                f"underline(lambda) = {self.lam.column_shape()}"
+                f"tableau shape {tableau.shape} does not match "
+                f"underline(lambda) = {lam.column_shape()}"
             )
-        if not dominance_leq(self.mu, self.lam.to_weight_vector()):
+        mu = weight(tableau)
+        # Unreachable: a tableau of shape underline(lambda) has weight below lambda.
+        if not dominance_leq(mu, lam.to_weight_vector()):
             raise InvalidLabel("mu is not below lambda in dominance order")
-
-    @cached_property
-    def mu(self) -> WeightVector:
-        return weight(self.tableau)
+        _set(self, "mu", mu)
+        self._freeze(lam, tableau)
 
 
 def mv_label(gallery: Gallery) -> MVLabel:
@@ -102,33 +103,30 @@ def image_weights(shape: Shape, rank: int) -> dict[DominantWeight, int]:
     return {entry.lam: entry.multiplicity for entry in decomposition.entries}
 
 
-@dataclass(frozen=True)
-class SurjectivityReport:
-    ok: bool
-    shape: Shape
-    rank: int
-    labels_checked: int
-    misses: tuple[tuple[DominantWeight, Gallery], ...]
+SurjectivityReport = namedtuple("SurjectivityReport", "ok shape rank labels_checked misses")
 
 
 def verify_surjectivity(shape: Shape, rank: int) -> SurjectivityReport:
     """Check that every tableau of every weight in the image is hit.
 
     For each lambda in the image of the shape, the walk from its first
-    dominant gallery (a source) is normalised, and the tableaux of shape
-    underline(lambda), enumerated without crystal operators, are looked up
-    among its normal forms.  So one component alone must cover B(lambda).
+    dominant gallery (a source) is normalised.  Its distinct normal forms
+    of shape underline(lambda) are tableaux of that shape, of which there
+    are `weyl_dimension` (lambda), so it covers B(lambda) exactly when it
+    has that many.  Only a shortfall enumerates the tableaux, to name the
+    misses.  ``labels_checked`` is the sum of the dimensions.
     """
     shape = validate_shape(shape, rank)
     misses: list[tuple[DominantWeight, Gallery]] = []
     checked = 0
     for entry in decompose(shape, rank).entries:
         index, _ = _walk(entry.representatives[0], rank, f)
-        hit = {normal_form(g) for g in index}
-        for tableau in enumerate_ssyt(entry.lam.column_shape(), rank):
-            checked += 1
-            if tableau not in hit:
-                misses.append((entry.lam, tableau))
+        underline = entry.lam.column_shape()
+        hit = {t for t in map(normal_form, index) if t.shape == underline}
+        dimension = weyl_dimension(entry.lam)
+        checked += dimension
+        if len(hit) < dimension:
+            misses += [(entry.lam, t) for t in enumerate_ssyt(underline, rank) if t not in hit]
     return SurjectivityReport(
         ok=not misses,
         shape=shape,

@@ -64,6 +64,7 @@ def _survivors(gallery: Gallery, i: int) -> tuple[list[int], list[int]]:
 def _replace_entry(gallery: Gallery, reading_index: int, old: int, new: int) -> Gallery:
     col = gallery.columns[reading_index]
     new_col = tuple(new if a == old else a for a in col)
+    # Unreachable: a tagged column holds exactly one of i and i+1, so one moves.
     if any(x >= y for x, y in zip(new_col, new_col[1:])):
         raise BrokenColumn(
             f"replacing {old} by {new} in column {col} broke strict increase"

@@ -11,13 +11,15 @@ together with the column relation
     c.  1 2 ... n = (empty word).
 
 Every gallery is equivalent to a unique semistandard Young tableau with
-columns of length at most n-1.  `normal_form` computes it in one pass:
-`rsk_insert`, Schensted row insertion of the gallery word (letters taken
-last to first, matching the column reading convention), which drops the
-full columns of its tableau.  A full column is 1..n, which by relation c is
-the empty word, and it sits leftmost because column lengths weakly decrease
-left to right; dropping it leaves a semistandard tableau, whose reading word
-inserts back to itself.  Every tableau is therefore a proper `Gallery`.
+columns of length at most n-1: Schensted row insertion of the word
+(letters taken last to first, matching the column reading convention),
+with the full columns of its tableau dropped.  A full column is 1..n, which
+by relation c is the empty word, and it sits leftmost because column
+lengths weakly decrease left to right; dropping it leaves a semistandard
+tableau, whose reading word inserts back to itself.  One public path,
+`rsk_insert`, checks its letters and rank and builds its tableau with the
+checking `Gallery` constructor.  The trusted internal path, `_insert`, takes
+ints in 1..n; `normal_form` gives it the word of a proper gallery.
 `oracle_plactic_classes` is an independent brute-force rewriting oracle
 used to certify the normal form at test scale.
 """
@@ -49,6 +51,28 @@ def is_ssyt(gallery: Gallery) -> bool:
     return True
 
 
+def _insert(letters: Word, rank: int) -> Gallery:
+    # Schensted insertion, last to first, of int letters (proper output needs
+    # them in 1..rank).  zip(*rows) is the tallest band; 1..rank columns drop.
+    rows: list[list[int]] = []
+    for x in reversed(letters):
+        for row in rows:
+            k = bisect_right(row, x)
+            if k == len(row):
+                row.append(x)
+                break
+            x, row[k] = row[k], x
+        else:
+            rows.append([x])
+    full = tuple(range(1, rank + 1))
+    display: list[tuple[int, ...]] = []
+    while rows:
+        display += [col for col in zip(*rows) if col != full]
+        cut = len(rows[-1])
+        rows = [row[cut:] for row in rows if len(row) > cut]
+    return Gallery._unsafe(rank, tuple(reversed(display)))
+
+
 def rsk_insert(letters, rank: int) -> Gallery:
     """Schensted row insertion of the letters, taken last to first, with the
     full columns 1..n of the insertion tableau dropped.
@@ -58,26 +82,9 @@ def rsk_insert(letters, rank: int) -> Gallery:
     `LetterOutOfRange`.  A letter that is not an int, or is a bool, raises
     `LetterNotInteger`.
     """
-    rows: list[list[int]] = []
-    for x in reversed(_plain_ints(letters)):
-        i = 0
-        while True:
-            if i == len(rows):
-                rows.append([x])
-                break
-            row = rows[i]
-            k = bisect_right(row, x)
-            if k == len(row):
-                row.append(x)
-                break
-            x, row[k] = row[k], x
-            i += 1
-    _check_rank(rank)  # before range(), which would raise TypeError instead
-    full = tuple(range(1, rank + 1))
-    # Top-aligned rows to display columns, leftmost first.
-    width = len(rows[0]) if rows else 0
-    display = [tuple(row[j] for row in rows if j < len(row)) for j in range(width)]
-    return Gallery(rank, tuple(col for col in reversed(display) if col != full))
+    letters = _plain_ints(letters)
+    _check_rank(rank)
+    return Gallery(rank, _insert(letters, rank).columns)
 
 
 def normal_form(gallery: Gallery) -> Gallery:
@@ -85,9 +92,10 @@ def normal_form(gallery: Gallery) -> Gallery:
 
     One insertion suffices: the full columns of the insertion tableau are
     its leftmost columns, so dropping them leaves a semistandard tableau,
-    and reinserting that tableau's word would give it back unchanged.
+    and reinserting that tableau's word would give it back unchanged.  Equal
+    in value to ``rsk_insert(word(gallery), gallery.rank)``, unchecked.
     """
-    return rsk_insert(word(gallery), gallery.rank)
+    return _insert(word(gallery), gallery.rank)
 
 
 def equivalent(gallery: Gallery, other: Gallery) -> bool:

@@ -15,6 +15,7 @@ from gallery_crystals import (
     NotConnected,
     ParseError,
     SurjectivityReport,
+    WeightVector,
     connected_component,
     e,
     enumerate_ssyt,
@@ -47,6 +48,11 @@ def columnwise_parse_gallery(text: str, rank: int) -> Gallery:
             raise ParseError(f"malformed column {chunk!r}")
         display.append(tuple(int(piece) for piece in entries))
     return Gallery(rank, tuple(reversed(display)))
+
+
+def weight_sum(mu: WeightVector, nu: WeightVector) -> WeightVector:
+    """The sum of two weight vectors of one rank, coordinate by coordinate."""
+    return WeightVector(tuple(a + b for a, b in zip(mu.counts, nu.counts, strict=True)))
 
 
 def shapes_up_to(total: int, max_part: int):

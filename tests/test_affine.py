@@ -70,6 +70,26 @@ class TestCrossingSets:
                 assert ups - downs == total
 
 
+class TestAffineRoot:
+    def test_sorted_by_a_then_b_then_level(self):
+        rng = random.Random(11)
+        roots = [AffineRoot(a, b, rng.randint(-3, 3))
+                 for a, b in itertools.combinations(range(1, 5), 2) for _ in range(3)]
+        rng.shuffle(roots)
+        expected = sorted(roots, key=lambda r: (r.a, r.b, r.level))
+        assert sorted(roots) == expected
+        assert [(r.a, r.b, r.level) for r in expected] == sorted((r.a, r.b, r.level) for r in roots)
+        assert AffineRoot(1, 3, -5) > AffineRoot(1, 2, 7)
+
+    def test_fields_and_pairing(self):
+        root = AffineRoot(1, 3, 2)
+        assert (root.a, root.b, root.level) == (1, 3, 2)
+        assert root.root_pairing((4, 0, 1)) == 3
+        assert repr(root) == "AffineRoot(a=1, b=3, level=2)"
+        with pytest.raises(AttributeError):
+            root.level = 0
+
+
 class TestSplicedGallery:
     def test_reading_order(self):
         gamma = G("1", 3)

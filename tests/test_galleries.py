@@ -1,6 +1,8 @@
 """Core gallery operations: validation, words, weights, paths, dominance."""
 
+import copy
 import inspect
+import pickle
 import random
 from collections import Counter
 from enum import IntEnum
@@ -43,7 +45,7 @@ from gallery_crystals import (
     weight,
     word,
 )
-from _support import G, columnwise_parse_gallery, gallery_universe
+from _support import G, columnwise_parse_gallery, gallery_universe, weight_sum
 
 
 class TestValidateGallery:
@@ -77,6 +79,10 @@ class TestValidateGallery:
             parse_gallery(text, 3)
         with pytest.raises(error):
             Gallery(3, columns)
+
+    def test_empty_column(self):
+        with pytest.raises(ShapeInvalid):
+            Gallery(3, ((1,), ()))
 
     def test_letter_out_of_range(self):
         with pytest.raises(LetterOutOfRange):
@@ -113,6 +119,52 @@ class TestValidateGallery:
         # Arabic-Indic digits one, two, three: int() reads them, the format does not.
         with pytest.raises(ParseError):
             parse_gallery("\u0661,\u0662|\u0663", 3)
+
+
+VALUES = [
+    (Gallery(3, ((1,), (1, 2))), lambda: Gallery(3, [[1], [1, 2]])),
+    (Gallery(4), lambda: parse_gallery("", 4)),
+    (WeightVector((3, 1, 1)), lambda: weight(G("1|1", 3))),
+    (DominantWeight((2, 0)), lambda: WeightVector((3, 1, 1)).to_dominant_weight()),
+]
+
+
+class TestValueClasses:
+    @pytest.mark.parametrize("value, rebuild", VALUES)
+    def test_equal_values_hash_equal(self, value, rebuild):
+        other = rebuild()
+        assert other is not value
+        assert other == value and not other != value
+        assert hash(other) == hash(value)
+        assert len({value, other}) == 1
+
+    @pytest.mark.parametrize("value, rebuild", VALUES)
+    def test_fields_cannot_change(self, value, rebuild):
+        fields = [name for name in ("rank", "columns", "counts", "coeffs") if hasattr(value, name)]
+        for name in fields + ["_hash", "extra"]:
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+        assert value == rebuild()
+
+    @pytest.mark.parametrize("value, rebuild", VALUES)
+    def test_copies_are_equal(self, value, rebuild):
+        assert copy.copy(value) == value
+        assert pickle.loads(pickle.dumps(value)) == value
+
+    def test_repr_names_the_fields(self):
+        assert repr(Gallery(3, ((1,),))) == "Gallery(rank=3, columns=((1,),))"
+        assert repr(WeightVector((2, 1))) == "WeightVector(counts=(1, 0))"
+        assert repr(DominantWeight((1, 0))) == "DominantWeight(coeffs=(1, 0))"
+
+    def test_never_equal_to_other_types(self):
+        g = Gallery(3, ((1,), (2,)))
+        assert g != (3, ((1,), (2,))) and g != ((1,), (2,))
+        assert g != g.columns and g.columns != g
+        assert WeightVector((1, 0)) != (1, 0)
+        assert WeightVector((1, 0, 0)) != DominantWeight((1, 0))
+        assert Gallery(3) != Gallery(4)
 
 
 class TestRankRule:
@@ -219,7 +271,7 @@ class TestWeight:
     def test_concat_additive(self):
         a = G("1,2|1", 3)
         b = G("2|3|1", 3)
-        assert weight(concat(a, b)) == weight(a) + weight(b)
+        assert weight(concat(a, b)) == weight_sum(weight(a), weight(b))
 
 
 class TestPathVertices:

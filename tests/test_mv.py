@@ -23,6 +23,7 @@ from gallery_crystals import (
     verify_surjectivity,
     weight,
 )
+import _support
 from _support import G, shapes_up_to, shapewise_fibers, shapewise_surjectivity
 
 # Every shape of ranks 2-4 up to 6 boxes, of rank 5 up to 5 and of rank 6 up to 4.
@@ -61,6 +62,21 @@ class TestMvLabel:
             MVLabel(DominantWeight((1, 1)), G("1|1", 3))  # shape mismatch
         with pytest.raises(InvalidLabel):
             MVLabel(DominantWeight((2, 0)), G("2|1", 3))  # not an SSYT
+
+    def test_rank_mismatch(self):
+        with pytest.raises(InvalidLabel, match="ranks differ"):
+            MVLabel(DominantWeight((1,)), G("1", 3))
+
+    def test_value_semantics(self):
+        label = mv_label(G("1|2|1", 3))
+        same = MVLabel(DominantWeight((1, 1)), G("1,2|1", 3))
+        assert label == same and hash(label) == hash(same)
+        assert same.mu == WeightVector((2, 1, 0))
+        assert repr(same) == (
+            "MVLabel(lam=DominantWeight(coeffs=(1, 1)), tableau=Gallery(rank=3, columns=((1,), (1, 2))))"
+        )
+        with pytest.raises(AttributeError):
+            same.mu = WeightVector((1, 1, 1))
 
 
 class TestFiber:
@@ -150,6 +166,30 @@ class TestSurjectivity:
     def test_matches_shapewise_oracle(self):
         for shape, rank in ORACLE_CASES:
             assert verify_surjectivity(shape, rank) == shapewise_surjectivity(shape, rank)
+
+    def test_full_count_enumerates_nothing(self, monkeypatch):
+        def refuse(shape, rank):
+            raise AssertionError("tableaux enumerated without a shortfall")
+
+        monkeypatch.setattr(mv, "enumerate_ssyt", refuse)
+        assert verify_surjectivity((1, 1, 1), 3).ok
+
+    def test_shortfall_names_the_misses(self, monkeypatch):
+        # A normal form that sends one adjoint tableau to another of its shape
+        # leaves the count one short; both components of the adjoint miss it.
+        lost, twin = G("1,3|2", 3), G("1,2|1", 3)
+
+        def losing(gallery):
+            tableau = normal_form(gallery)
+            return twin if tableau == lost else tableau
+
+        monkeypatch.setattr(mv, "normal_form", losing)
+        monkeypatch.setattr(_support, "normal_form", losing)
+        report = verify_surjectivity((1, 1, 1), 3)
+        assert not report.ok
+        assert report.misses == ((DominantWeight((1, 1)), lost),)
+        assert report.misses == shapewise_surjectivity((1, 1, 1), 3).misses
+        assert report.labels_checked == 10 + 8 + 1
 
 
 class TestMorphismAndInjectivity:

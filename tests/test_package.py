@@ -2,6 +2,9 @@
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -48,6 +51,21 @@ def test_aliases_are_gone(name):
     # Each restated a public operation: Gallery(n), mu.pairing(i), MVLabel(...),
     # the staircase word gallery, its weight, and the pairs a < b.
     assert not hasattr(gallery_crystals, name)
+
+
+@pytest.mark.parametrize("owner, method", [("WeightVector", "__add__"), ("Gallery", "__len__")])
+def test_unused_methods_are_gone(owner, method):
+    # Nothing called them: weights are added through their counts, and a
+    # gallery's length is len(g.columns).
+    assert not hasattr(getattr(gallery_crystals, owner), method)
+
+
+def test_cli_import_skips_dataclasses_and_inspect():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    probe = "import sys, gallery_crystals.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                          check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_pyproject_matches_the_package():

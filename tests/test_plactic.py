@@ -1,5 +1,7 @@
 """Plactic normalization: SSYT predicate, insertion, oracle classes."""
 
+import random
+
 import pytest
 
 from gallery_crystals import (
@@ -117,6 +119,32 @@ class TestNormalForm:
         for g in gallery_universe(4, 4):
             assert all(len(col) <= 3 for col in normal_form(g).columns)
             assert is_ssyt(normal_form(g))
+
+
+def seeded_galleries(seed: int, count: int):
+    """Random galleries of ranks 2-7 with 0-60 columns; some read a full column
+    1..n in one-letter columns, so their insertion has full columns to drop."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        rank = rng.randint(2, 7)
+        columns = []
+        for _ in range(rng.randint(0, 60)):
+            if rng.random() < 0.1:
+                columns += [(a,) for a in range(1, rank + 1)]
+            else:
+                columns.append(tuple(sorted(rng.sample(range(1, rank + 1), rng.randint(1, rank - 1)))))
+        yield Gallery(rank, tuple(columns[:60]))
+
+
+def test_trusted_insertion_matches_checked_insertion():
+    dropped = 0
+    for g in seeded_galleries(seed=1107, count=400):
+        nf = normal_form(g)
+        checked = Gallery(g.rank, nf.columns)
+        assert nf == rsk_insert(word(g), g.rank)
+        assert checked == nf and hash(checked) == hash(nf)
+        dropped += len(word(nf)) < len(word(g))
+    assert dropped > 100
 
 
 class TestEquivalent:
