@@ -140,13 +140,8 @@ class Gallery(_Value):
         obj = object.__new__(cls)
         _set(obj, "rank", rank)
         _set(obj, "columns", columns)
-        _set(obj, "_hash", None)
+        _set(obj, "_hash", hash((rank, columns)))
         return obj
-
-    def __hash__(self) -> int:
-        if self._hash is None:  # from _unsafe: hashed on first use, as many never are
-            _set(self, "_hash", hash((self.rank, self.columns)))
-        return self._hash
 
     @property
     def shape(self) -> Shape:

@@ -21,7 +21,6 @@ the independent check on the crystal side.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import cached_property
 from itertools import combinations, product
 from math import comb
 
@@ -30,34 +29,34 @@ from .galleries import (
     DominantWeight,
     Gallery,
     Shape,
+    _set,
+    _Value,
     validate_shape,
     weight,
 )
 from .operators import e, f
 
 
-class CrystalGraph:
-    """Labeled digraph, not changed once built; edges are (source, target, i)
-    with target = f_i(source).  Graphs with equal fields are equal."""
+class CrystalGraph(_Value):
+    """Immutable labeled digraph; edges are (source, target, i) with target = f_i(source)."""
+
+    __slots__ = ("rank", "vertices", "edges", "_order")
+    _fields = ("rank", "vertices", "edges")
 
     def __init__(self, rank: int, vertices: frozenset, edges: frozenset) -> None:
-        self.rank = rank
-        self.vertices = vertices
-        self.edges = edges
+        self._freeze(rank, vertices, edges)
+        _set(self, "_order", None)
 
-    def __eq__(self, other):
-        if other.__class__ is not CrystalGraph:
-            return NotImplemented
-        return (self.rank, self.vertices, self.edges) == (other.rank, other.vertices, other.edges)
-
-    @cached_property
+    @property
     def _vertex_order(self) -> tuple[Gallery, ...]:
-        return tuple(sorted(self.vertices, key=lambda g: (g.shape, g.columns)))
+        if self._order is None:
+            _set(self, "_order", tuple(sorted(self.vertices, key=lambda g: (g.shape, g.columns))))
+        return self._order
 
     def sorted_vertices(self) -> list[Gallery]:
         """Canonical vertex order: lexicographic on (shape, columns in reading order).
 
-        The order is computed on first use and reused.
+        The graph is immutable, so the order is computed once and reused.
         """
         return list(self._vertex_order)
 

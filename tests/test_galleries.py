@@ -26,6 +26,7 @@ from gallery_crystals import (
     ShapeInvalid,
     WeightVector,
     concat,
+    connected_component,
     count_galleries,
     decompose,
     dominance_leq,
@@ -35,6 +36,7 @@ from gallery_crystals import (
     format_word,
     galleries_of_shape,
     gallery_from_word,
+    highest_weight_crystal,
     image_weights,
     is_dominant,
     parse_gallery,
@@ -124,8 +126,10 @@ class TestValidateGallery:
 VALUES = [
     (Gallery(3, ((1,), (1, 2))), lambda: Gallery(3, [[1], [1, 2]])),
     (Gallery(4), lambda: parse_gallery("", 4)),
+    (Gallery(3, ((2,), (1,))), lambda: concat(G("1", 3), G("2", 3))),
     (WeightVector((3, 1, 1)), lambda: weight(G("1|1", 3))),
     (DominantWeight((2, 0)), lambda: WeightVector((3, 1, 1)).to_dominant_weight()),
+    (highest_weight_crystal(DominantWeight((1, 1))), lambda: connected_component(G("1,3|1", 3))),
 ]
 
 
@@ -140,8 +144,8 @@ class TestValueClasses:
 
     @pytest.mark.parametrize("value, rebuild", VALUES)
     def test_fields_cannot_change(self, value, rebuild):
-        fields = [name for name in ("rank", "columns", "counts", "coeffs") if hasattr(value, name)]
-        for name in fields + ["_hash", "extra"]:
+        fields = ("rank", "columns", "counts", "coeffs", "vertices", "edges", "_order")
+        for name in [name for name in fields if hasattr(value, name)] + ["_hash", "extra"]:
             with pytest.raises(AttributeError):
                 setattr(value, name, None)
             with pytest.raises(AttributeError):
