@@ -11,6 +11,7 @@ import random
 
 from gallery_crystals import (
     Gallery,
+    concat,
     splice_disjointness,
     crossing_sets,
     format_gallery,
@@ -18,7 +19,6 @@ from gallery_crystals import (
     parse_gallery,
     path_vertices,
     random_gallery,
-    spliced_gallery,
     stabilizer_condition,
     weight,
 )
@@ -34,7 +34,9 @@ print("\nweight of the staircase word is zero:", not any(weight(staircase).count
 
 gamma = parse_gallery("1|1", 3)
 delta = parse_gallery("2,3", 3)
-eta, k = spliced_gallery(gamma, delta)
+# eta reads delta first, so the splice starts at segment len(delta.columns)
+eta = concat(gamma, concat(staircase, delta))
+k = len(delta.columns)
 print("\nspliced gallery:", format_gallery(eta), " splice starts at segment", k)
 print("disjointness   :", splice_disjointness(gamma, delta))
 print("stabilizer     :", stabilizer_condition(gamma, delta))

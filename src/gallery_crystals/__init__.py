@@ -90,7 +90,6 @@ from .affine import (
     crossing_sets,
     random_gallery,
     splice_disjointness,
-    spliced_gallery,
     stabilizer_condition,
 )
 

@@ -9,10 +9,17 @@ strictly to the positive side:
     S_i = { (alpha, m) : (alpha, gamma_i) = m and (alpha, gamma_{i+1}) > m }.
 
 All levels are computed on the raw partial-sum lift starting at the origin.
-The two splice checks concern the gallery eta obtained by splicing
-the full staircase word 1,2,...,n between two galleries: the n spliced
-segments have pairwise disjoint crossing sets, and every root crossed there
-sits at a level at least the pairing with the splice's start vertex.
+The two splice checks concern eta = gamma * staircase * delta, the word
+1,2,...,n spliced between two galleries: its n staircase segments have
+pairwise disjoint crossing sets, and every root crossed there sits at a
+level at least its pairing with the splice's start x.  Both follow from the
+structure, so the checks never build eta.  Eta reads delta first, so x is
+the end of delta's path, and segment j starts at x + e_1 + ... + e_(j-1)
+and adds e_j: it crosses exactly the roots (j, b) with b > j, at level
+x_j - x_b, since the earlier steps moved only coordinates below j.  The
+sets have distinct first indices, so they are disjoint, and each level is
+the root's pairing with x.  They list C(n, 2) roots in all, and any lift of
+x gives the same ones, since levels are differences.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ import random
 from collections import namedtuple
 
 from .errors import RankMismatch
-from .galleries import Gallery, path_vertices
+from .galleries import Gallery, path_vertices, weight
 
 
 class AffineRoot(namedtuple("AffineRoot", "a b level")):
@@ -49,18 +56,17 @@ def crossing_sets(gallery: Gallery) -> tuple[tuple[AffineRoot, ...], ...]:
     )
 
 
-def spliced_gallery(gamma: Gallery, delta: Gallery) -> tuple[Gallery, int]:
-    """The gallery gamma * staircase * delta and the reading position of the splice.
-
-    Reading order runs delta first, then the n staircase columns, then gamma,
-    so the spliced segments are the n path segments starting at index
-    k = len(delta).
-    """
+def _staircase(gamma: Gallery, delta: Gallery) -> tuple:
+    """(k, x, segments): the splice's reading position len(delta), a lift x of
+    its start, and the crossing sets of eta's segments k, ..., k + n - 1."""
     if gamma.rank != delta.rank:
         raise RankMismatch(f"ranks {gamma.rank} and {delta.rank} differ")
-    n = gamma.rank
-    columns = delta.columns + tuple((a,) for a in range(1, n + 1)) + gamma.columns
-    return Gallery._unsafe(n, columns), len(delta.columns)
+    x = weight(delta).counts
+    n = len(x)
+    return len(delta.columns), x, tuple(
+        tuple(AffineRoot(j, b, x[j - 1] - x[b - 1]) for b in range(j + 1, n + 1))
+        for j in range(1, n + 1)
+    )
 
 
 class WallCheck(namedtuple("WallCheck", "ok witness", defaults=(None,))):
@@ -75,9 +81,7 @@ def splice_disjointness(gamma: Gallery, delta: Gallery) -> WallCheck:
     The witness on failure is (segment_i, segment_j, root) using absolute
     segment indices of the spliced gallery.
     """
-    eta, k = spliced_gallery(gamma, delta)
-    n = eta.rank
-    segments = crossing_sets(eta)[k : k + n]
+    k, _, segments = _staircase(gamma, delta)
     seen: dict[AffineRoot, int] = {}
     for offset, segment in enumerate(segments):
         for root in segment:
@@ -89,16 +93,9 @@ def splice_disjointness(gamma: Gallery, delta: Gallery) -> WallCheck:
 
 def stabilizer_condition(gamma: Gallery, delta: Gallery) -> WallCheck:
     """Whether every root crossed on the spliced segments has level at least
-    its pairing with the splice's start vertex.
-
-    This is the membership condition for the stabilizer group of the start
-    vertex: a wall (alpha, m) qualifies when (alpha, start) <= m.  The
-    witness on failure is (segment, root).
-    """
-    eta, k = spliced_gallery(gamma, delta)
-    n = eta.rank
-    start = path_vertices(eta)[k]
-    segments = crossing_sets(eta)[k : k + n]
+    its pairing with the splice's start vertex, the membership condition for
+    the start's stabilizer group.  The witness on failure is (segment, root)."""
+    k, start, segments = _staircase(gamma, delta)
     for offset, segment in enumerate(segments):
         for root in segment:
             if root.root_pairing(start) > root.level:

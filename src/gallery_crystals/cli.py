@@ -9,7 +9,7 @@ domain errors (a machine-readable JSON report goes to stderr), 2 on usage
 errors, and 141 when the reader of standard output goes away, as a process
 killed by SIGPIPE would report.  A request that would enumerate more than
 `SIZE_LIMIT` galleries, crystal vertices, words or roots (positive, or affine
-for `crossings` and `appendix-check`) fails up front with ``too-large``.
+for `crossings`) fails up front with ``too-large``.
 
 Each subcommand is one row of `COMMANDS`: its arguments, a ``compute``
 that parses them and calls the library, and one renderer per --format
@@ -38,7 +38,7 @@ from itertools import chain
 from math import comb
 
 from . import emit
-from .affine import random_gallery, splice_disjointness, spliced_gallery, stabilizer_condition
+from .affine import random_gallery, splice_disjointness, stabilizer_condition
 from .errors import GalleryError, ParseError, TooLarge
 from .galleries import (
     DominantWeight,
@@ -68,11 +68,11 @@ from .plactic import equivalent, normal_form, oracle_plactic_classes
 
 # The most galleries (decompose, image-weights, fiber), crystal vertices
 # (blambda, component), words (oracle-classes), positive roots (any rank) or
-# affine roots in crossing sets (crossings, appendix-check) one request may
-# enumerate; each is counted before any work.  Crystal graphs are the
-# dearest: `blambda --rank 2 --lambda 2000`, 2,001 vertices of up to 2,000
-# columns each, takes 5 s on two cores with Python 3.11, peaks at 83 MB of
-# memory and writes 8 MB.
+# affine roots in crossing sets (crossings) one request may enumerate; each
+# is counted before any work.  Crystal graphs are the dearest:
+# `blambda --rank 2 --lambda 2000`, 2,001 vertices of up to 2,000 columns
+# each, takes 5 s on two cores with Python 3.11, peaks at 83 MB of memory
+# and writes 8 MB.
 SIZE_LIMIT = 10_000
 
 # An optional minus and ASCII digits: int() alone would also take "+2",
@@ -204,11 +204,14 @@ def _crossings(args) -> list:
 
 
 def _appendix_check(args) -> dict:
+    if args.seed is None and args.cases is not None:
+        raise ParseError("--cases counts seeded random pairs; it needs --seed")
+    cases = 100 if args.cases is None else args.cases
     if args.seed is not None:
-        _check_size((1 + args.cases) * comb(args.rank, 2), "positive roots")
+        # The checks list exactly C(rank, 2) roots per pair, whatever its galleries.
+        _check_size((1 + cases) * comb(args.rank, 2), "positive roots")
     gamma = parse_gallery(args.gamma, args.rank)
     delta = parse_gallery(args.delta, args.rank)
-    _check_size(_crossing_roots(spliced_gallery(gamma, delta)[0]), "affine roots")
     disjoint = splice_disjointness(gamma, delta)
     stabilizer = stabilizer_condition(gamma, delta)
     document = {"disjoint": disjoint.ok, "stabilizer": stabilizer.ok}
@@ -221,12 +224,12 @@ def _appendix_check(args) -> dict:
     if args.seed is not None:
         rng = random.Random(args.seed)
         failures = 0
-        for _ in range(args.cases):
+        for _ in range(cases):
             g = random_gallery(rng, args.rank)
             d = random_gallery(rng, args.rank)
             if not (splice_disjointness(g, d).ok and stabilizer_condition(g, d).ok):
                 failures += 1
-        document["random_cases"] = args.cases
+        document["random_cases"] = cases
         document["random_failures"] = failures
     return document
 
@@ -370,7 +373,7 @@ COMMANDS = (
             ((("--gamma",), {"default": ""}), (("--delta",), {"default": ""}),
              (("--seed",), {"type": _int, "default": None,
                             "help": "also check seeded random pairs"}),
-             (("--cases",), {"type": _count, "default": 100,
+             (("--cases",), {"type": _count, "default": None,
                              "help": "random pairs when --seed is given"})),
             _appendix_check,
             {"text": _appendix_text, "json": _json}),

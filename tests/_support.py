@@ -16,11 +16,14 @@ from gallery_crystals import (
     ParseError,
     SurjectivityReport,
     WeightVector,
+    concat,
     connected_component,
+    crossing_sets,
     e,
     enumerate_ssyt,
     f,
     galleries_of_shape,
+    gallery_from_word,
     highest_weight_vertex,
     image_weights,
     normal_form,
@@ -53,6 +56,16 @@ def columnwise_parse_gallery(text: str, rank: int) -> Gallery:
 def weight_sum(mu: WeightVector, nu: WeightVector) -> WeightVector:
     """The sum of two weight vectors of one rank, coordinate by coordinate."""
     return WeightVector(tuple(a + b for a, b in zip(mu.counts, nu.counts, strict=True)))
+
+
+def spliced_crossing_sets(gamma: Gallery, delta: Gallery):
+    """Reference for the splice checks' staircase: the spliced gallery
+    eta = gamma * staircase * delta built with `concat`, the reading position
+    k of the splice, and the crossing sets of eta's segments k, ..., k + n - 1."""
+    n = gamma.rank
+    eta = concat(gamma, concat(gallery_from_word(range(1, n + 1), n), delta))
+    k = len(delta.columns)
+    return eta, k, crossing_sets(eta)[k : k + n]
 
 
 def shapes_up_to(total: int, max_part: int):

@@ -43,6 +43,7 @@ from gallery_crystals import (
     weyl_dimension,
     word,
 )
+from gallery_crystals import affine
 from gallery_crystals.cli import run as cli_run
 from _support import G, shapes_up_to, weights_with_dimension_at_most
 
@@ -294,23 +295,42 @@ def test_criterion_9_label_map():
     criterion(9, "label map: surjectivity, injectivity, fibers, multiplicities", 120.0, body)
 
 
+def splice_pairs():
+    """Criterion 10's (gamma, delta) pairs: every pair of galleries with at
+    most two columns at ranks 2-4, then 1,000 seeded random pairs."""
+    for rank in (2, 3, 4):
+        small = [Gallery(rank)]
+        for shape in shapes_up_to(2 * (rank - 1), rank - 1):
+            if len(shape) <= 2:
+                small.extend(galleries_of_shape(shape, rank))
+        for gamma in small:
+            for delta in small:
+                yield gamma, delta
+    rng = random.Random(20240811)
+    for _ in range(1000):
+        rank = rng.choice((2, 3, 4))
+        gamma = random_gallery(rng, rank, max_columns=5)
+        delta = random_gallery(rng, rank, max_columns=5)
+        yield gamma, delta
+
+
 def test_criterion_10_splice_properties():
     def body():
-        for rank in (2, 3, 4):
-            small = [Gallery(rank)]
-            for shape in shapes_up_to(2 * (rank - 1), rank - 1):
-                if len(shape) <= 2:
-                    small.extend(galleries_of_shape(shape, rank))
-            for gamma in small:
-                for delta in small:
-                    assert splice_disjointness(gamma, delta).ok
-                    assert stabilizer_condition(gamma, delta).ok
-        rng = random.Random(20240811)
-        for _ in range(1000):
-            rank = rng.choice((2, 3, 4))
-            gamma = random_gallery(rng, rank, max_columns=5)
-            delta = random_gallery(rng, rank, max_columns=5)
+        for gamma, delta in splice_pairs():
             assert splice_disjointness(gamma, delta).ok
             assert stabilizer_condition(gamma, delta).ok
 
     criterion(10, "splice disjointness and stabilizer checks, exhaustive + random", 60.0, body)
+
+
+def test_splice_checks_build_no_spliced_gallery(monkeypatch):
+    # The checks read the staircase off delta's weight: no path of eta is
+    # walked and no crossing set is computed.
+    def refuse(gallery):
+        raise AssertionError("the splice checks walked a gallery path")
+
+    monkeypatch.setattr(affine, "crossing_sets", refuse)
+    monkeypatch.setattr(affine, "path_vertices", refuse)
+    for gamma, delta in splice_pairs():
+        assert splice_disjointness(gamma, delta).ok
+        assert stabilizer_condition(gamma, delta).ok

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from math import comb
 
 import pytest
 
@@ -16,11 +17,11 @@ from gallery_crystals import (
     galleries_of_shape,
     path_vertices,
     random_gallery,
-    spliced_gallery,
     stabilizer_condition,
     weight,
 )
-from _support import G, shapes_up_to
+from gallery_crystals import affine
+from _support import G, shapes_up_to, spliced_crossing_sets
 
 
 class TestCrossingSets:
@@ -94,13 +95,48 @@ class TestSplicedGallery:
     def test_reading_order(self):
         gamma = G("1", 3)
         delta = G("2", 3)
-        eta, k = spliced_gallery(gamma, delta)
+        eta, k, _ = spliced_crossing_sets(gamma, delta)
         assert k == 1
         assert eta.columns == ((2,), (1,), (2,), (3,), (1,))
 
     def test_rank_mismatch(self):
-        with pytest.raises(RankMismatch):
-            spliced_gallery(G("1", 3), G("1", 4))
+        for check in (splice_disjointness, stabilizer_condition):
+            with pytest.raises(RankMismatch):
+                check(G("1", 3), G("1", 4))
+            with pytest.raises(RankMismatch):
+                check(G("1", 4), G("1", 3))
+
+
+class TestStaircase:
+    """The splice checks read the n staircase segments off delta's weight."""
+
+    def test_matches_whole_gallery_crossing_sets(self):
+        rng = random.Random(12)
+        for rank in range(2, 10):
+            for _ in range(150):
+                gamma = random_gallery(rng, rank, max_columns=8)
+                delta = random_gallery(rng, rank, max_columns=8)
+                k, start, segments = affine._staircase(gamma, delta)
+                eta, oracle_k, oracle_segments = spliced_crossing_sets(gamma, delta)
+                assert k == oracle_k
+                assert segments == oracle_segments
+                assert sum(map(len, segments)) == comb(rank, 2)
+                shift = {a - b for a, b in zip(path_vertices(eta)[k], start)}
+                assert len(start) == rank and len(shift) == 1
+
+    def test_disjointness_failure_witness(self, monkeypatch):
+        shared, other = AffineRoot(1, 3, 2), AffineRoot(2, 3, 0)
+        segments = ((other,), (shared,), (), (other, shared))
+        monkeypatch.setattr(affine, "_staircase", lambda gamma, delta: (5, (0, 0, 0), segments))
+        # the first repeat found is other, first seen on segment 5 + 0
+        assert splice_disjointness(Gallery(3), Gallery(3)) == (False, (5, 8, other))
+
+    def test_stabilizer_failure_witness(self, monkeypatch):
+        # (e1 - e3, start) = 2 - 0 sits above the level 1; the other pairings are 1
+        low = AffineRoot(1, 3, 1)
+        segments = ((AffineRoot(1, 2, 1),), (AffineRoot(2, 3, 1), low), ())
+        monkeypatch.setattr(affine, "_staircase", lambda gamma, delta: (4, (2, 1, 0), segments))
+        assert stabilizer_condition(Gallery(3), Gallery(3)) == (False, (5, low))
 
 
 class TestWeightOfFullColumnWord:

@@ -10,11 +10,12 @@ import shlex
 import subprocess
 import sys
 import time
+from math import comb
 from pathlib import Path
 
 import pytest
 
-from gallery_crystals import cli, plactic
+from gallery_crystals import affine, cli, plactic
 from gallery_crystals.affine import AffineRoot, WallCheck, crossing_sets, random_gallery
 from gallery_crystals.cli import run
 
@@ -363,6 +364,14 @@ class TestRejectedOptions:
         assert invoke(capsys, "word", "--rank", "3", "--seed", "1", "1")[0] == 2
         assert invoke(capsys, "appendix-check", "--rank", "3", "--seed", "1")[0] == 0
 
+    def test_cases_needs_seed(self, capsys):
+        code, out, _ = invoke(capsys, "appendix-check", "--rank", "3", "--seed", "1")
+        assert code == 0 and out.endswith("random: 100/100 ok\n")
+        for cases in ("0", "4", "100000000000"):
+            code, out, err = invoke(capsys, "appendix-check", "--rank", "3", "--cases", cases)
+            assert code == 1 and out == ""
+            assert json.loads(err)["error"] == "parse-error"
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -487,9 +496,8 @@ class TestTooLarge:
             ("appendix-check", ["--rank", "3000"]),
             # (1 + cases) x 3 positive roots
             ("appendix-check", ["--rank", "3", "--seed", "1", "--cases", "100000000"]),
-            # 300 columns of 4,970 affine roots each, 600 when spliced
+            # 300 columns of 4,970 affine roots each
             ("crossings", ["--rank", "141", "--format", "json", LONG_COLUMNS]),
-            ("appendix-check", ["--rank", "141", "--gamma", LONG_COLUMNS, "--delta", LONG_COLUMNS]),
         ],
     )
     def test_rejected_up_front(self, capsys, command, argv):
@@ -520,9 +528,30 @@ class TestTooLarge:
                 g = random_gallery(rng, rank, max_columns=8)
                 assert cli._crossing_roots(g) == sum(map(len, crossing_sets(g)))
 
-    def test_random_pairs_counted_with_roots(self, capsys):
-        # 101 x comb(14, 2) = 9,191 and 101 x comb(15, 2) = 10,605 roots
+    def test_long_splice_runs(self, capsys):
+        # The checks list the C(141, 2) staircase roots, however long the pair.
+        start = time.perf_counter()
+        code, out, err = invoke(
+            capsys, "appendix-check", "--rank", "141",
+            "--gamma", self.LONG_COLUMNS, "--delta", self.LONG_COLUMNS,
+        )
+        assert time.perf_counter() - start < 1.0
+        assert (code, out, err) == (0, "disjoint: true\nstabilizer: true\n", "")
+
+    def test_random_pairs_counted_with_roots(self, capsys, monkeypatch):
+        # Each check lists exactly comb(rank, 2) roots per pair, so the
+        # 101 x comb(14, 2) = 9,191 and 101 x comb(15, 2) = 10,605 roots are exact.
+        listed = []
+        staircase = affine._staircase
+
+        def counted(gamma, delta):
+            k, start, segments = staircase(gamma, delta)
+            listed.append(sum(map(len, segments)))
+            return k, start, segments
+
+        monkeypatch.setattr(affine, "_staircase", counted)
         assert invoke(capsys, "appendix-check", "--rank", "14", "--seed", "1")[0] == 0
+        assert listed == [comb(14, 2)] * 2 * 101
         code, _, err = invoke(capsys, "appendix-check", "--rank", "15", "--seed", "1")
         assert code == 1 and json.loads(err)["error"] == "too-large"
         assert invoke(capsys, "appendix-check", "--rank", "15")[0] == 0
