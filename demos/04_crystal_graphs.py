@@ -12,7 +12,7 @@ from gallery_crystals import (
     parse_gallery,
     weyl_dimension,
 )
-from gallery_crystals.emit import graph_dot
+from gallery_crystals.emit import graph_document, graph_dot
 
 lam = DominantWeight((1, 1))
 print("lambda =", lam, " dominant tableau:", format_gallery(canonical_dominant_gallery(lam)))
@@ -20,8 +20,10 @@ crystal = highest_weight_crystal(lam)
 print("B(lambda) size:", len(crystal), " Weyl dimension:", weyl_dimension(lam))
 
 print("\nedges (canonical order):")
-for u, v, i in crystal.sorted_edges():
-    print(f"  {format_gallery(u):8} --{i}--> {format_gallery(v)}")
+document = graph_document(crystal)
+names = document["vertices"]
+for edge in document["edges"]:
+    print(f"  {names[edge['from']]:8} --{edge['i']}--> {names[edge['to']]}")
 
 lowest = parse_gallery("2,3|3", 3)
 print("\nhighest weight vertex above 2,3|3:", format_gallery(highest_weight_vertex(lowest)))
@@ -36,4 +38,5 @@ for entry in decompose((1, 1, 1), 3).entries:
     print(f"  lambda {str(entry.lam):5} multiplicity {entry.multiplicity}   heads: {reps}")
 
 print("\nDOT output of B(omega_1), rank 3:")
-print(graph_dot(highest_weight_crystal(DominantWeight((1, 0)))))
+dot = graph_dot(graph_document(highest_weight_crystal(DominantWeight((1, 0)))))
+print(*dot, sep="\n", end="\n\n")

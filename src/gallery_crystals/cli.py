@@ -9,12 +9,14 @@ domain errors (a machine-readable JSON report goes to stderr), 2 on usage
 errors, and 141 when the reader of standard output goes away, as a process
 killed by SIGPIPE would report.  A request that would enumerate more than
 `SIZE_LIMIT` galleries, crystal vertices, words or roots (positive, or affine
-for `crossings`) fails up front with ``too-large``.
+for `crossings`), or a crystal graph of more than `CELL_LIMIT` cells, fails
+up front with ``too-large``.
 
 Each subcommand is one row of `COMMANDS`: its arguments, a ``compute``
 that parses them and calls the library, and one renderer per --format
-value, each turning the computed result into output lines.  Text and JSON
-output render the same document, so each field is computed in one place.
+value, each turning the computed result into output lines.  Every format
+renders the one result ``compute`` returns, so each field is computed once,
+in one place.
 
 `build_parser` is cached: the argparse tree is built from the table once
 per process, on the first `run`, and reused, since building it costs
@@ -55,7 +57,6 @@ from .galleries import (
     word,
 )
 from .graphs import (
-    CrystalGraph,
     connected_component,
     count_galleries,
     decompose,
@@ -69,20 +70,29 @@ from .plactic import equivalent, normal_form, oracle_plactic_classes
 # The most galleries (decompose, image-weights, fiber), crystal vertices
 # (blambda, component), words (oracle-classes), positive roots (any rank) or
 # affine roots in crossing sets (crossings) one request may enumerate; each
-# is counted before any work.  Crystal graphs are the dearest:
-# `blambda --rank 2 --lambda 2000`, 2,001 vertices of up to 2,000 columns
-# each, takes 5 s on two cores with Python 3.11, peaks at 83 MB of memory
-# and writes 8 MB.
+# is counted before any work.
 SIZE_LIMIT = 10_000
+# The most cells (vertices times boxes per vertex) of one crystal graph, whose
+# cost grows with both: `blambda --rank 2 --lambda 999`, 1,000 vertices of 999
+# boxes, takes 1.4 s on two cores with Python 3.11 and writes 2 MB of JSON;
+# `--lambda 2000` took 4.7 s and 82 MB.
+CELL_LIMIT = 1_000_000
 
 # An optional minus and ASCII digits: int() alone would also take "+2",
 # "1_0" and other scripts' digits.
 _INTEGER = re.compile(r"-?[0-9]+")
 
 
-def _check_size(count: int, what: str) -> None:
-    if count > SIZE_LIMIT:
-        raise TooLarge(f"the request would enumerate {count} {what}; the limit is {SIZE_LIMIT}")
+def _check_size(count: int, what: str, limit: int = SIZE_LIMIT) -> None:
+    if count > limit:
+        raise TooLarge(f"the request would enumerate {count} {what}; the limit is {limit}")
+
+
+def _check_graph(lam: DominantWeight, boxes: int) -> None:
+    # Every vertex of B(lambda) or of a component has the source's shape.
+    vertices = weyl_dimension(lam)
+    _check_size(vertices, "crystal vertices")
+    _check_size(vertices * boxes, "crystal cells", CELL_LIMIT)
 
 
 def _parse_ints(text: str, what: str) -> tuple[int, ...]:
@@ -164,10 +174,10 @@ def _oracle_classes(args) -> list:
     return [[list(w) for w in cls] for cls in oracle_plactic_classes(args.max_len, args.rank)]
 
 
-def _component(args) -> CrystalGraph:
+def _component(args) -> dict:
     gallery = _gallery(args)
-    _check_size(weyl_dimension(mv_label(gallery).lam), "crystal vertices")
-    return connected_component(gallery)
+    _check_graph(mv_label(gallery).lam, sum(gallery.shape))
+    return emit.graph_document(connected_component(gallery))
 
 
 def _lambda(args) -> DominantWeight:
@@ -179,10 +189,10 @@ def _lambda(args) -> DominantWeight:
     return DominantWeight(coeffs)
 
 
-def _blambda(args) -> CrystalGraph:
+def _blambda(args) -> dict:
     lam = _lambda(args)
-    _check_size(weyl_dimension(lam), "crystal vertices")
-    return highest_weight_crystal(lam)
+    _check_graph(lam, sum(i * m for i, m in enumerate(lam.coeffs, 1)))
+    return emit.graph_document(highest_weight_crystal(lam))
 
 
 def _fiber(args) -> dict:
@@ -239,7 +249,7 @@ def _root(root) -> dict:
 
 
 def _json(document) -> list[str]:
-    return [emit.to_json(document)]
+    return [json.dumps(document, indent=2)]
 
 
 def _csv(values) -> str:
@@ -248,16 +258,6 @@ def _csv(values) -> str:
 
 def _bool(value: bool) -> str:
     return "true" if value else "false"
-
-
-def _graph_text(graph: CrystalGraph) -> list[str]:
-    document = emit.graph_document(graph)
-    return [
-        f"vertices: {len(document['vertices'])}",
-        *(f"  v{k}: {vertex}" for k, vertex in enumerate(document["vertices"])),
-        f"edges: {len(document['edges'])}",
-        *(f"  v{edge['from']} -{edge['i']}-> v{edge['to']}" for edge in document["edges"]),
-    ]
 
 
 def _decompose_text(document: dict) -> list[str]:
@@ -289,11 +289,7 @@ _GALLERY = (("gallery",), {})
 _I = (("--i",), {"type": _int, "required": True})
 _SHAPE = (("--shape",), {"required": True})
 _GALLERY_FORMATS = {"text": lambda gallery: [format_gallery(gallery)]}
-_GRAPH_FORMATS = {
-    "text": _graph_text,
-    "json": lambda graph: _json(emit.graph_document(graph)),
-    "dot": lambda graph: emit.graph_dot(graph).splitlines(),
-}
+_GRAPH_FORMATS = {"text": emit.graph_text, "json": _json, "dot": emit.graph_dot}
 
 COMMANDS = (
     Command("validate", "validate a gallery string", (_GALLERY,), _validate,
@@ -377,11 +373,10 @@ COMMANDS = (
                              "help": "random pairs when --seed is given"})),
             _appendix_check,
             {"text": _appendix_text, "json": _json}),
-    Command("path", "lattice path vertices (json) or rank-3 SVG plot", (_GALLERY,), _gallery,
-            {"text": lambda gallery: [" ".join(str(c) for c in vertex)
-                                      for vertex in emit.path_document(gallery)["vertices"]],
-             "json": lambda gallery: _json(emit.path_document(gallery)),
-             "svg": lambda gallery: emit.path_svg(gallery).splitlines()}),
+    Command("path", "lattice path vertices (json) or rank-3 SVG plot", (_GALLERY,),
+            lambda args: emit.path_document(_gallery(args)),
+            {"text": lambda doc: [" ".join(str(c) for c in vertex) for vertex in doc["vertices"]],
+             "json": _json, "svg": emit.path_svg}),
 )
 
 

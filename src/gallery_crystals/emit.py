@@ -1,14 +1,16 @@
-"""Serializers: JSON documents, DOT graphs, and SVG path plots.
+"""Documents and their renderers: JSON-ready documents, text, DOT graphs
+and SVG path plots.
 
-All emitters are deterministic: vertex orders are canonical, JSON keys are
-written in a fixed order, and floating point output is formatted with a
-fixed precision.  SVG rendering is only defined for rank 3, where the three
-coordinate directions project onto the plane at 60, 180 and 300 degrees.
+Each ``*_document`` function turns a result into plain lists, dicts, strings
+and ints once; the renderers (`graph_text`, `graph_dot`, `path_svg`) take a
+document and return output lines.  All output is deterministic: vertex
+orders are canonical, keys are written in a fixed order, and floating point
+output is formatted with a fixed precision.  SVG rendering is only defined
+for rank 3, where the three coordinate directions project onto the plane at
+60, 180 and 300 degrees.
 """
 
 from __future__ import annotations
-
-import json
 
 from .errors import SvgRankUnsupported
 from .affine import crossing_sets
@@ -17,29 +19,38 @@ from .graphs import CrystalGraph, Decomposition
 from .mv import MVLabel
 
 
-def to_json(document) -> str:
-    return json.dumps(document, indent=2)
-
-
 def graph_document(graph: CrystalGraph) -> dict:
-    vertices = graph.sorted_vertices()
+    """The graph in canonical order.  Vertices are sorted lexicographically
+    on (shape, columns in reading order) and numbered from 0; edges are
+    sorted by source number, then by i, which never ties since f_i(u) is
+    unique."""
+    vertices = sorted(graph.vertices, key=lambda g: (g.shape, g.columns))
     index = {g: k for k, g in enumerate(vertices)}
+    edges = sorted((index[u], i, index[v]) for u, v, i in graph.edges)
     return {
         "rank": graph.rank,
         "vertices": [format_gallery(g) for g in vertices],
-        "edges": [{"from": index[u], "to": index[v], "i": i} for u, v, i in graph.sorted_edges()],
+        "edges": [{"from": u, "to": v, "i": i} for u, i, v in edges],
     }
 
 
-def graph_dot(graph: CrystalGraph) -> str:
-    document = graph_document(graph)
-    lines = ["digraph crystal {"]
-    for k, label in enumerate(document["vertices"]):
-        lines.append(f'  v{k} [label="{label or "empty"}"];')
-    for edge in document["edges"]:
-        lines.append(f'  v{edge["from"]} -> v{edge["to"]} [label="{edge["i"]}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+def graph_text(document: dict) -> list[str]:
+    return [
+        f"vertices: {len(document['vertices'])}",
+        *(f"  v{k}: {vertex}" for k, vertex in enumerate(document["vertices"])),
+        f"edges: {len(document['edges'])}",
+        *(f"  v{edge['from']} -{edge['i']}-> v{edge['to']}" for edge in document["edges"]),
+    ]
+
+
+def graph_dot(document: dict) -> list[str]:
+    return [
+        "digraph crystal {",
+        *(f'  v{k} [label="{label or "empty"}"];' for k, label in enumerate(document["vertices"])),
+        *(f'  v{edge["from"]} -> v{edge["to"]} [label="{edge["i"]}"];'
+          for edge in document["edges"]),
+        "}",
+    ]
 
 
 def label_document(label: MVLabel) -> dict:
@@ -92,17 +103,17 @@ _DIRECTIONS = (
 )
 
 
-def _project(point: tuple[int, ...]) -> tuple[float, float]:
+def _project(point: list[int]) -> tuple[float, float]:
     x = sum(c * d[0] for c, d in zip(point, _DIRECTIONS))
     y = sum(c * d[1] for c, d in zip(point, _DIRECTIONS))
     return x, y
 
 
-def path_svg(gallery: Gallery) -> str:
-    """SVG plot of the gallery path with the dominant chamber shaded (rank 3)."""
-    if gallery.rank != 3:
-        raise SvgRankUnsupported(f"SVG plots are defined for rank 3, not {gallery.rank}")
-    points = [_project(v) for v in path_vertices(gallery)]
+def path_svg(document: dict) -> list[str]:
+    """SVG plot of a path document with the dominant chamber shaded (rank 3)."""
+    if document["rank"] != 3:
+        raise SvgRankUnsupported(f"SVG plots are defined for rank 3, not {document['rank']}")
+    points = [_project(v) for v in document["vertices"]]
     reach = max(max(abs(x), abs(y)) for x, y in points)
     reach = max(reach + 1.0, 2.0)
     size = 2 * reach * _SCALE
@@ -133,4 +144,4 @@ def path_svg(gallery: Gallery) -> str:
     )
     lines.append(f'  <circle cx="{half:.2f}" cy="{half:.2f}" r="4" fill="#000000"/>')
     lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+    return lines

@@ -246,20 +246,6 @@ class WeightVector(_Value):
         _check_index(i, self.rank)
         return self.counts[i - 1] - self.counts[i]
 
-    def add_simple_root(self, i: int) -> "WeightVector":
-        _check_index(i, self.rank)
-        counts = list(self.counts)
-        counts[i - 1] += 1
-        counts[i] -= 1
-        return WeightVector(tuple(counts))
-
-    def subtract_simple_root(self, i: int) -> "WeightVector":
-        _check_index(i, self.rank)
-        counts = list(self.counts)
-        counts[i - 1] -= 1
-        counts[i] += 1
-        return WeightVector(tuple(counts))
-
     def is_dominant(self) -> bool:
         return all(a >= b for a, b in zip(self.counts, self.counts[1:]))
 

@@ -29,7 +29,6 @@ from .galleries import (
     DominantWeight,
     Gallery,
     Shape,
-    _set,
     _Value,
     validate_shape,
     weight,
@@ -38,32 +37,13 @@ from .operators import e, f
 
 
 class CrystalGraph(_Value):
-    """Immutable labeled digraph; edges are (source, target, i) with target = f_i(source)."""
+    """Immutable labeled digraph: a frozenset of vertices and one of edges
+    (source, target, i) with target = f_i(source)."""
 
-    __slots__ = ("rank", "vertices", "edges", "_order")
-    _fields = ("rank", "vertices", "edges")
+    __slots__ = _fields = ("rank", "vertices", "edges")
 
-    def __init__(self, rank: int, vertices: frozenset, edges: frozenset) -> None:
-        self._freeze(rank, vertices, edges)
-        _set(self, "_order", None)
-
-    @property
-    def _vertex_order(self) -> tuple[Gallery, ...]:
-        if self._order is None:
-            _set(self, "_order", tuple(sorted(self.vertices, key=lambda g: (g.shape, g.columns))))
-        return self._order
-
-    def sorted_vertices(self) -> list[Gallery]:
-        """Canonical vertex order: lexicographic on (shape, columns in reading order).
-
-        The graph is immutable, so the order is computed once and reused.
-        """
-        return list(self._vertex_order)
-
-    def sorted_edges(self) -> list[tuple[Gallery, Gallery, int]]:
-        """Canonical edge order: by source vertex, then by i (f_i(u) is unique)."""
-        index = {g: k for k, g in enumerate(self._vertex_order)}
-        return sorted(self.edges, key=lambda edge: (index[edge[0]], edge[2]))
+    def __init__(self, rank: int, vertices, edges) -> None:
+        self._freeze(rank, frozenset(vertices), frozenset(edges))
 
     def __len__(self) -> int:
         return len(self.vertices)

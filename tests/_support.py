@@ -58,6 +58,14 @@ def weight_sum(mu: WeightVector, nu: WeightVector) -> WeightVector:
     return WeightVector(tuple(a + b for a, b in zip(mu.counts, nu.counts, strict=True)))
 
 
+def plus_simple_root(mu: WeightVector, i: int, times: int = 1) -> WeightVector:
+    """mu + times * alpha_i, where alpha_i = e_i - e_(i+1)."""
+    counts = list(mu.counts)
+    counts[i - 1] += times
+    counts[i] -= times
+    return WeightVector(tuple(counts))
+
+
 def spliced_crossing_sets(gamma: Gallery, delta: Gallery):
     """Reference for the splice checks' staircase: the spliced gallery
     eta = gamma * staircase * delta built with `concat`, the reading position

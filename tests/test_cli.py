@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from gallery_crystals import affine, cli, plactic
+from gallery_crystals import DominantWeight, affine, cli, plactic
 from gallery_crystals.affine import AffineRoot, WallCheck, crossing_sets, random_gallery
 from gallery_crystals.cli import run
 
@@ -265,8 +265,8 @@ class TestErrorsAndDeterminism:
         assert json.loads(err)["error"] == "non-increasing-column"
 
     def test_svg_needs_rank_three(self, capsys):
-        code, _, err = invoke(capsys, "path", "--rank", "4", "--format", "svg", "1")
-        assert code == 1
+        code, out, err = invoke(capsys, "path", "--rank", "4", "--format", "svg", "1")
+        assert code == 1 and out == ""
         assert json.loads(err)["error"] == "svg-rank-unsupported"
 
     @pytest.mark.parametrize("command", ["blambda", "fiber"])
@@ -498,6 +498,7 @@ class TestTooLarge:
             ("appendix-check", ["--rank", "3", "--seed", "1", "--cases", "100000000"]),
             # 300 columns of 4,970 affine roots each
             ("crossings", ["--rank", "141", "--format", "json", LONG_COLUMNS]),
+            ("blambda", ["--rank", "2", "--lambda", "9999"]),  # 10,000 x 9,999 cells
         ],
     )
     def test_rejected_up_front(self, capsys, command, argv):
@@ -513,6 +514,26 @@ class TestTooLarge:
         assert invoke(capsys, "weight", "--rank", "141", "")[0] == 0
         code, _, err = invoke(capsys, "weight", "--rank", "142", "")
         assert code == 1 and json.loads(err)["error"] == "too-large"
+
+    @pytest.mark.parametrize("argv", [
+        ["blambda", "--rank", "3", "--lambda", "1,1"],  # 8 vertices of 1 + 2 boxes
+        ["component", "--rank", "3", "1,2|1"],  # the same crystal on another shape
+    ])
+    def test_crystal_cells_counted(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(cli, "CELL_LIMIT", 24)
+        assert invoke(capsys, *argv)[0] == 0
+        monkeypatch.setattr(cli, "CELL_LIMIT", 23)
+        code, out, err = invoke(capsys, *argv)
+        assert code == 1 and out == "" and json.loads(err)["error"] == "too-large"
+
+    def test_cell_limit(self, capsys):
+        # One row of 999 boxes has 1,000 vertices: 999,000 cells fit, and
+        # B(20,20) at rank 3 has 9,261 vertices of 60 boxes: 555,660 cells.
+        cli._check_graph(DominantWeight((999,)), 999)
+        cli._check_graph(DominantWeight((20, 20)), 60)
+        code, out, err = invoke(capsys, "blambda", "--rank", "2", "--lambda", "1000")
+        assert code == 1 and out == "" and json.loads(err)["error"] == "too-large"
+        assert "1001000 crystal cells" in json.loads(err)["message"]
 
     def test_affine_roots_counted(self, capsys):
         # Each column 1 at rank 3 crosses (1, 2) and (1, 3): 5,000 columns

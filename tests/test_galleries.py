@@ -144,7 +144,7 @@ class TestValueClasses:
 
     @pytest.mark.parametrize("value, rebuild", VALUES)
     def test_fields_cannot_change(self, value, rebuild):
-        fields = ("rank", "columns", "counts", "coeffs", "vertices", "edges", "_order")
+        fields = ("rank", "columns", "counts", "coeffs", "vertices", "edges")
         for name in [name for name in fields if hasattr(value, name)] + ["_hash", "extra"]:
             with pytest.raises(AttributeError):
                 setattr(value, name, None)

@@ -88,6 +88,12 @@ class TestConnectedComponent:
         comp = connected_component(Gallery(3))
         assert len(comp) == 1 and not comp.edges
 
+    def test_built_from_sets_equals_walk(self):
+        comp = connected_component(G("1,2|1", 3))
+        built = CrystalGraph(3, set(comp.vertices), set(comp.edges))
+        assert built == comp and hash(built) == hash(comp)
+        assert type(built.vertices) is frozenset and type(built.edges) is frozenset
+
     def test_equals_two_sided_closure_from_any_vertex(self):
         # Raising to the source and then lowering loses no vertex and no edge.
         for rank in range(2, 5):
@@ -266,7 +272,8 @@ def isomorphism_cases() -> list[CrystalGraph]:
             crystal = highest_weight_crystal(lam)
             source = canonical_dominant_gallery(lam)
             graphs += [crystal, connected_component(gallery_from_word(word(source), rank))]
-            for u, v, i in crystal.sorted_edges()[:3]:
+            edges = sorted(crystal.edges, key=lambda edge: (edge[0].columns, edge[2]))
+            for u, v, i in edges[:3]:
                 kept = crystal.edges - {(u, v, i)}
                 graphs.append(CrystalGraph(rank, crystal.vertices, kept))
                 for j in range(1, rank):

@@ -19,7 +19,14 @@ from gallery_crystals import (
     word,
 )
 from gallery_crystals.operators import Tag
-from _support import G, gallery_universe, naive_epsilon, naive_phi, randomized_reduction
+from _support import (
+    G,
+    gallery_universe,
+    naive_epsilon,
+    naive_phi,
+    plus_simple_root,
+    randomized_reduction,
+)
 
 
 def tags(symbols: str):
@@ -163,10 +170,10 @@ class TestCrystalAxiomsSmall:
             for i in (1, 2):
                 raised = e(g, i)
                 if raised is not None:
-                    assert weight(raised) == weight(g).add_simple_root(i)
+                    assert weight(raised) == plus_simple_root(weight(g), i)
                 lowered = f(g, i)
                 if lowered is not None:
-                    assert weight(lowered) == weight(g).subtract_simple_root(i)
+                    assert weight(lowered) == plus_simple_root(weight(g), i, -1)
 
     def test_string_axiom(self):
         for g in gallery_universe(3, 3):
