@@ -331,6 +331,7 @@ def validate_shape(shape, rank: int) -> Shape:
 # reads.
 
 _TOKEN = re.compile(r"^[0-9]+$")
+_COLUMN = re.compile(r"\s*[0-9]+\s*(?:,\s*[0-9]+\s*)*")
 
 
 def format_gallery(gallery: Gallery) -> str:
@@ -352,10 +353,10 @@ def parse_gallery(text: str, rank: int) -> Gallery:
     chunks = text.split("|")
     parsed = {}
     for chunk in dict.fromkeys(chunks):
-        entries = [piece.strip() for piece in chunk.split(",")]
-        if any(not _TOKEN.match(piece) for piece in entries):
+        if not _COLUMN.fullmatch(chunk):
             raise ParseError(f"malformed column {chunk!r}")
-        parsed[chunk] = tuple(int(piece) for piece in entries)
+        # int() alone rejects U+001C..U+001F, which \s and str.strip accept.
+        parsed[chunk] = tuple(map(int, map(str.strip, chunk.split(","))))
     columns = tuple(map(parsed.__getitem__, reversed(chunks)))
     Gallery(rank, tuple(dict.fromkeys(columns)))
     return Gallery._unsafe(rank, columns)

@@ -7,9 +7,9 @@ is dominant, and the component is determined up to isomorphism by that
 vertex's weight.
 
 `connected_component` raises a gallery to that source and generates the
-component from it with the f_i alone, by `_walk`, the one breadth-first
-search here; `highest_weight_crystal` is the component of the dominant
-tableau.  `is_isomorphic` walks each graph's stored edges from its source.
+component from it by `_walk`, the one breadth-first search here, one i-string
+(one signature scan) at a time; `highest_weight_crystal` is the component of
+the dominant tableau.  `is_isomorphic` walks strings of stored edges.
 A gallery is a source exactly when its path stays in the dominant chamber,
 so `dominant_galleries` lists the sources of a shape crystal without
 visiting the rest of it, and `decompose` counts them by weight and searches
@@ -21,7 +21,7 @@ the independent check on the crystal side.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import combinations, product
+from itertools import combinations, product, repeat
 from math import comb
 
 from .errors import NotConnected
@@ -33,7 +33,7 @@ from .galleries import (
     validate_shape,
     weight,
 )
-from .operators import e, f
+from .operators import _string, e
 
 
 class CrystalGraph(_Value):
@@ -81,32 +81,41 @@ def canonical_dominant_gallery(lam: DominantWeight) -> Gallery:
     return Gallery(lam.rank, columns)
 
 
-def _walk(source: Gallery, rank: int, step) -> tuple[dict[Gallery, int], list]:
-    """Breadth-first search from a source: each vertex v, in visiting order,
-    records the edge (v, step(v, i), i) for each i = 1..rank-1 whose move
-    applies.  Returns the visiting number of each vertex reached (a dict, so
-    that ``frozenset(index)`` reuses its stored hashes) and the edges.
+def _walk(source: Gallery, rank: int, strings) -> tuple[dict[Gallery, int], list]:
+    """Breadth-first search from a source: for each vertex v in visiting order
+    and each i = 1..rank-1 whose i-string through v is not yet listed,
+    ``strings(v, i)`` lists it top to bottom, each consecutive pair (u, w) an
+    edge (u, w, i).  Returns the visiting number of each vertex reached (a
+    dict, so that ``frozenset(index)`` reuses its stored hashes) and the edges.
     """
     index = {source: 0}
     order = [source]
+    listed = [0]  # bit i of listed[k]: the i-string through order[k] is listed
     edges = []
-    for v in order:  # grows while iterated: breadth-first
+    for k, v in enumerate(order):  # grows while iterated: breadth-first
         for i in range(1, rank):
-            w = step(v, i)
-            if w is not None:
-                edges.append((v, w, i))
-                if w not in index:
+            if listed[k] >> i & 1:
+                continue
+            string = strings(v, i)
+            edges += zip(string, string[1:], repeat(i))
+            for w in string:
+                number = index.get(w)
+                if number is None:
                     index[w] = len(order)
                     order.append(w)
+                    listed.append(1 << i)
+                else:
+                    listed[number] |= 1 << i
     return index, edges
 
 
 def connected_component(gallery: Gallery) -> CrystalGraph:
-    """The component of the gallery: f-moves from its unique source reach
-    every vertex, so `_walk` records each edge once, as (v, f_i(v), i).
+    """The component of the gallery: the walk from its unique source lists
+    each i-string once, so B(lambda) takes (n-1)(|V|+1) - |E| signature
+    scans, n-1 of them finding that its dominant tableau is the source.
     """
     source = highest_weight_vertex(gallery)
-    index, edges = _walk(source, source.rank, f)
+    index, edges = _walk(source, source.rank, _string)
     return CrystalGraph(source.rank, frozenset(index), frozenset(edges))
 
 
@@ -122,8 +131,22 @@ def _numbered(graph: CrystalGraph) -> tuple[dict[Gallery, int], tuple]:
     if len(sources) != 1:
         raise NotConnected(f"expected a unique source vertex, found {len(sources)}")
     (source,) = sources
-    moves = {(u, i): v for u, v, i in graph.edges}
-    index, edges = _walk(source, graph.rank, lambda v, i: moves.get((v, i)))
+    down = {(u, i): v for u, v, i in graph.edges}
+    up = {(v, i): u for u, v, i in graph.edges}
+
+    def strings(v, i):
+        # Up to the top, then down.  A repeated vertex ends each way, and the
+        # way down keeps it last, so that the edge closing a cycle is read.
+        seen = {v}
+        while (v := up.get((v, i), v)) not in seen:
+            seen.add(v)
+        string, seen = [v], {v}
+        while (v := down.get((v, i))) is not None and len(seen) == len(string):
+            string.append(v)
+            seen.add(v)
+        return string
+
+    index, edges = _walk(source, graph.rank, strings)
     if len(index) != len(graph):
         raise NotConnected("some vertex is not reached from the source")
     return index, (weight(source), [(index[u], i, index[v]) for u, v, i in edges])
@@ -185,10 +208,15 @@ def dominant_galleries(shape: Shape, rank: int):
     choices in lexicographic order as in `galleries_of_shape`, that drops a
     prefix as soon as its last vertex leaves the dominant chamber.  The
     recursion is one level per column; a shape long enough to reach Python's
-    limit has far too many dominant galleries to list.  ``tallies[a]``
-    counts the letter a; ``tallies[0]`` exceeds every count.
+    limit has far too many dominant galleries to list.
     """
     shape = validate_shape(shape, rank)
+    yield from _dominant_galleries(shape, rank, [len(shape)] * (rank + 1))
+
+
+def _dominant_galleries(shape: Shape, rank: int, cap: list[int]):
+    # `dominant_galleries`, also dropping a prefix with more than cap[a] of a
+    # letter a.  ``tallies[a]`` counts a; ``tallies[0]`` exceeds every count.
     alphabets = [tuple(combinations(range(1, rank + 1), d)) for d in shape]
 
     def extend(prefix, tallies):
@@ -199,7 +227,7 @@ def dominant_galleries(shape: Shape, rank: int):
             grown = list(tallies)
             for a in col:
                 grown[a] += 1
-            if all(grown[a - 1] >= grown[a] for a in col):
+            if all(grown[a - 1] >= grown[a] <= cap[a] for a in col):
                 yield from extend(prefix + (col,), grown)
 
     yield from extend((), [len(shape) + 1] + [0] * rank)

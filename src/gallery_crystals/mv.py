@@ -30,14 +30,14 @@ from .galleries import (
     weight,
 )
 from .graphs import (
+    _dominant_galleries,
     _raise_to_source,
     _walk,
     decompose,
-    dominant_galleries,
     enumerate_ssyt,
     weyl_dimension,
 )
-from .operators import f
+from .operators import _string, f
 from .plactic import is_ssyt, normal_form
 
 
@@ -88,8 +88,11 @@ def fiber(label: MVLabel, shape: Shape, rank: int | None = None) -> tuple[Galler
     if n != label.tableau.rank:
         raise RankMismatch(f"label rank {label.tableau.rank} and rank {n} differ")
     shape = validate_shape(shape, n)
-    lam = label.lam.to_weight_vector()
-    tops = [g for g in dominant_galleries(shape, n) if weight(g) == lam]
+    # The tops' letter tallies: lambda's counts, lifted to the shape's boxes.
+    counts = label.lam.to_weight_vector().counts
+    lift, rest = divmod(sum(shape) - sum(counts), n)
+    cap = [0] + [c + lift for c in counts]
+    tops = [] if rest or lift < 0 else list(_dominant_galleries(shape, n, cap))
     if not tops:
         return ()
     _, raised_by = _raise_to_source(label.tableau)
@@ -120,7 +123,7 @@ def verify_surjectivity(shape: Shape, rank: int) -> SurjectivityReport:
     misses: list[tuple[DominantWeight, Gallery]] = []
     checked = 0
     for entry in decompose(shape, rank).entries:
-        index, _ = _walk(entry.representatives[0], rank, f)
+        index, _ = _walk(entry.representatives[0], rank, _string)
         underline = entry.lam.column_shape()
         hit = {t for t in map(normal_form, index) if t.shape == underline}
         dimension = weyl_dimension(entry.lam)

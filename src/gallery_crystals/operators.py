@@ -7,6 +7,12 @@ the survivors read (+)^s (-)^r.  Then f_i bumps i to i+1 in the column of the
 rightmost surviving "+", e_i bumps i+1 to i in the column of the leftmost
 surviving "-", and phi_i = s, epsilon_i = r.  An inapplicable operator
 returns None.
+
+One scan lists a whole i-string (`_string`): f_i^k bumps the first k
+surviving pluses in reading order, and e_i^k the last k surviving minuses.
+For f_i (e_i is the mirror image), the first surviving "+" was pushed on an
+empty stack and never popped; bumped to a "-", it meets that empty stack and
+survives, every later column is matched as before, and so the next "+" is first.
 """
 
 from __future__ import annotations
@@ -61,36 +67,43 @@ def _survivors(gallery: Gallery, i: int) -> tuple[list[int], list[int]]:
     return plus, minus
 
 
-def _replace_entry(gallery: Gallery, reading_index: int, old: int, new: int) -> Gallery:
-    col = gallery.columns[reading_index]
-    new_col = tuple(new if a == old else a for a in col)
+def _bump(col: tuple[int, ...], old: int, new: int) -> tuple[int, ...]:
+    k = col.index(old)
     # Unreachable: a tagged column holds exactly one of i and i+1, so one moves.
-    if any(x >= y for x, y in zip(new_col, new_col[1:])):
-        raise BrokenColumn(
-            f"replacing {old} by {new} in column {col} broke strict increase"
-        )
-    columns = (
-        gallery.columns[:reading_index] + (new_col,) + gallery.columns[reading_index + 1 :]
-    )
-    return Gallery._unsafe(gallery.rank, columns)
+    if (k and col[k - 1] >= new) or (k + 1 < len(col) and col[k + 1] <= new):
+        raise BrokenColumn(f"replacing {old} by {new} in column {col} broke strict increase")
+    return col[:k] + (new,) + col[k + 1 :]
+
+
+def _bumped(gallery: Gallery, positions, old: int, new: int) -> list[Gallery]:
+    """The galleries reached by bumping ``old`` to ``new`` at each position in turn."""
+    columns = list(gallery.columns)
+    reached = []
+    for pos in positions:
+        columns[pos] = _bump(columns[pos], old, new)
+        reached.append(Gallery._unsafe(gallery.rank, tuple(columns)))
+    return reached
 
 
 def f(gallery: Gallery, i: int) -> Gallery | None:
     """Lowering operator: bump i to i+1 in the rightmost surviving plus column."""
     _check_index(i, gallery.rank)
     plus, _ = _survivors(gallery, i)
-    if not plus:
-        return None
-    return _replace_entry(gallery, plus[0], i, i + 1)
+    return _bumped(gallery, plus[:1], i, i + 1)[0] if plus else None
 
 
 def e(gallery: Gallery, i: int) -> Gallery | None:
     """Raising operator: bump i+1 to i in the leftmost surviving minus column."""
     _check_index(i, gallery.rank)
     _, minus = _survivors(gallery, i)
-    if not minus:
-        return None
-    return _replace_entry(gallery, minus[-1], i + 1, i)
+    return _bumped(gallery, minus[-1:], i + 1, i)[0] if minus else None
+
+
+def _string(gallery: Gallery, i: int) -> list[Gallery]:
+    """The i-string through the gallery, top to bottom: e_i^epsilon ... f_i^phi."""
+    plus, minus = _survivors(gallery, i)
+    raised = _bumped(gallery, reversed(minus), i + 1, i)
+    return raised[::-1] + [gallery] + _bumped(gallery, plus, i, i + 1)
 
 
 def epsilon(gallery: Gallery, i: int) -> int:

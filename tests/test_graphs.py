@@ -25,6 +25,7 @@ from gallery_crystals import (
     weyl_dimension,
     word,
 )
+from gallery_crystals import operators
 from gallery_crystals.graphs import CrystalGraph
 from _support import (
     G,
@@ -178,6 +179,25 @@ class TestHighestWeightCrystal:
                 assert (crystal.vertices, crystal.edges) == two_sided_closure(source)
 
 
+class TestScans:
+    def test_one_scan_per_string(self, monkeypatch):
+        # B(lambda) lists each of its (n-1)|V| - |E| i-strings from one
+        # signature scan, after n-1 scans that find no e_i to apply.
+        scans = []
+        survivors = operators._survivors
+
+        def counted(gallery, i):
+            scans.append(i)
+            return survivors(gallery, i)
+
+        monkeypatch.setattr(operators, "_survivors", counted)
+        for coeffs, expected in (((40,), 2), ((3, 2), 26), ((1, 1, 1), 93)):
+            scans.clear()
+            crystal = highest_weight_crystal(DominantWeight(coeffs))
+            n = crystal.rank
+            assert len(scans) == (n - 1) * (len(crystal) + 1) - len(crystal.edges) == expected
+
+
 class TestIsIsomorphic:
     def test_shape_versus_word_reading(self):
         comp = connected_component(G("1|1,2", 3))
@@ -264,9 +284,12 @@ def isomorphism_cases() -> list[CrystalGraph]:
     """Small components at ranks 2-4, their word-reading copies and mutants.
 
     Each mutant drops one edge or moves it to a free label, so it still has
-    at most one i-edge into and out of each vertex.
+    at most one i-edge into and out of each vertex.  The first graph reaches
+    every vertex from its source, but its 2-string through a and b is a
+    cycle, which reading strings off the edges must stop on.
     """
-    graphs = []
+    s, a, b = G("1", 3), G("2", 3), G("3", 3)
+    graphs = [CrystalGraph(3, {s, a, b}, {(s, a, 1), (a, b, 2), (b, a, 2)})]
     for rank, bound in ((2, 5), (3, 8), (4, 10)):
         for lam in weights_with_dimension_at_most(rank, bound):
             crystal = highest_weight_crystal(lam)

@@ -18,7 +18,7 @@ from gallery_crystals import (
     weight,
     word,
 )
-from gallery_crystals.operators import Tag
+from gallery_crystals.operators import Tag, _string
 from _support import (
     G,
     gallery_universe,
@@ -152,6 +152,28 @@ class TestEpsilonPhi:
             for i in (1, 2):
                 assert epsilon(g, i) == naive_epsilon(g, i)
                 assert phi(g, i) == naive_phi(g, i)
+
+
+class TestString:
+    def test_matches_single_steps(self):
+        # One scan lists the i-string that single e/f steps walk.
+        rng = random.Random(1414)
+        for _ in range(400):
+            rank = rng.randint(2, 6)
+            columns = tuple(
+                tuple(sorted(rng.sample(range(1, rank + 1), rng.randint(1, rank - 1))))
+                for _ in range(rng.randint(0, 14))
+            )
+            g = Gallery(rank, columns)
+            for i in range(1, rank):
+                chain = [g]
+                while (raised := e(chain[0], i)) is not None:
+                    chain.insert(0, raised)
+                while (lowered := f(chain[-1], i)) is not None:
+                    chain.append(lowered)
+                string = _string(g, i)
+                assert string == chain
+                assert len(string) == epsilon(g, i) + phi(g, i) + 1
 
 
 class TestCrystalAxiomsSmall:
