@@ -248,10 +248,6 @@ def _root(root) -> dict:
     return {"a": root.a, "b": root.b, "m": root.level}
 
 
-def _json(document) -> list[str]:
-    return [json.dumps(document, indent=2)]
-
-
 def _csv(values) -> str:
     return ",".join(str(v) for v in values)
 
@@ -289,14 +285,14 @@ _GALLERY = (("gallery",), {})
 _I = (("--i",), {"type": _int, "required": True})
 _SHAPE = (("--shape",), {"required": True})
 _GALLERY_FORMATS = {"text": lambda gallery: [format_gallery(gallery)]}
-_GRAPH_FORMATS = {"text": emit.graph_text, "json": _json, "dot": emit.graph_dot}
+_GRAPH_FORMATS = {"text": emit.graph_text, "json": emit.json_lines, "dot": emit.graph_dot}
 
 COMMANDS = (
     Command("validate", "validate a gallery string", (_GALLERY,), _validate,
-            {"text": lambda doc: [doc["gallery"]], "json": _json}),
+            {"text": lambda doc: [doc["gallery"]], "json": emit.json_lines}),
     Command("word", "word of a gallery", (_GALLERY,),
             lambda args: {"word": list(word(_gallery(args)))},
-            {"text": lambda doc: [format_word(doc["word"])], "json": _json}),
+            {"text": lambda doc: [format_word(doc["word"])], "json": emit.json_lines}),
     Command("from-word", "gallery of shape (1,...,1) with the given word", ((("word",), {}),),
             lambda args: gallery_from_word(parse_word(args.word, args.rank), args.rank),
             _GALLERY_FORMATS),
@@ -308,19 +304,21 @@ COMMANDS = (
             _GALLERY_FORMATS),
     Command("weight", "letter multiplicities as a canonical weight vector", (_GALLERY,),
             lambda args: {"counts": list(weight(_gallery(args)).counts)},
-            {"text": lambda doc: [" ".join(str(c) for c in doc["counts"])], "json": _json}),
+            {"text": lambda doc: [" ".join(str(c) for c in doc["counts"])],
+             "json": emit.json_lines}),
     Command("dominant", "whether the gallery path stays dominant", (_GALLERY,),
             lambda args: {"dominant": is_dominant(_gallery(args))},
-            {"text": lambda doc: [_bool(doc["dominant"])], "json": _json}),
+            {"text": lambda doc: [_bool(doc["dominant"])], "json": emit.json_lines}),
     Command("signature", "column tags for index i, display order", (_I, _GALLERY),
             lambda args: {"i": args.i,
                           "tags": [t.value for t in i_signature(_gallery(args), args.i)]},
-            {"text": lambda doc: ["".join(doc["tags"])], "json": _json}),
+            {"text": lambda doc: ["".join(doc["tags"])], "json": emit.json_lines}),
     Command("apply", "apply a root operator; inapplicable prints 0",
             ((("--op",), {"choices": ("f", "e"), "required": True}), _I,
              (("--times",), {"type": _count, "default": 1}), _GALLERY),
             _apply,
-            {"text": lambda doc: ["0" if doc["result"] is None else doc["result"]], "json": _json}),
+            {"text": lambda doc: ["0" if doc["result"] is None else doc["result"]],
+             "json": emit.json_lines}),
     Command("normal-form", "plactic normal form (semistandard tableau)", (_GALLERY,),
             lambda args: normal_form(_gallery(args)), _GALLERY_FORMATS),
     Command("equivalent", "whether two galleries are plactic equivalent",
@@ -328,11 +326,11 @@ COMMANDS = (
             lambda args: {"equivalent": equivalent(
                 parse_gallery(args.first, args.rank), parse_gallery(args.second, args.rank)
             )},
-            {"text": lambda doc: [_bool(doc["equivalent"])], "json": _json}),
+            {"text": lambda doc: [_bool(doc["equivalent"])], "json": emit.json_lines}),
     Command("oracle-classes", "brute-force plactic classes of short words",
             ((("--max-len",), {"type": _count, "required": True}),), _oracle_classes,
             {"text": lambda classes: [" | ".join(_csv(w) or "-" for w in cls) for cls in classes],
-             "json": _json}),
+             "json": emit.json_lines}),
     Command("component", "connected crystal component of a gallery", (_GALLERY,), _component,
             _GRAPH_FORMATS),
     Command("blambda", "crystal B(lambda) from its dominant tableau",
@@ -342,29 +340,29 @@ COMMANDS = (
     Command("decompose", "component decomposition of a shape crystal",
             ((("--shape",), {"required": True, "help": "reading-order column lengths d1,d2,..."}),),
             lambda args: emit.decomposition_document(decompose(_shape(args), args.rank)),
-            {"text": _decompose_text, "json": _json}),
+            {"text": _decompose_text, "json": emit.json_lines}),
     Command("phi", "MV cycle label of a gallery", (_GALLERY,),
             lambda args: emit.label_document(mv_label(_gallery(args))),
             {"text": lambda doc: [f"lambda {_csv(doc['lambda'])}  tableau {doc['tableau']}  "
                                   f"mu {_csv(doc['mu'])}"],
-             "json": _json}),
+             "json": emit.json_lines}),
     Command("fiber", "galleries of a shape mapping to a given label",
             ((("--lambda",), {"dest": "lam", "required": True}),
              (("--tableau",), {"required": True}), _SHAPE),
             _fiber,
-            {"text": lambda doc: doc["fiber"] or ["(empty fiber)"], "json": _json}),
+            {"text": lambda doc: doc["fiber"] or ["(empty fiber)"], "json": emit.json_lines}),
     Command("image-weights", "dominant weights hit by a shape, with multiplicities", (_SHAPE,),
             lambda args: [{"lambda": list(lam.coeffs), "multiplicity": mult}
                           for lam, mult in image_weights(_shape(args), args.rank).items()],
             {"text": lambda doc: [f"{_csv(w['lambda'])} -> {w['multiplicity']}" for w in doc],
-             "json": _json}),
+             "json": emit.json_lines}),
     Command("crossings", "affine crossing sets along the gallery path", (_GALLERY,),
             _crossings,
             {"text": lambda doc: [
                 f"segment {s['segment']}: "
                 + (" ".join(f"({r['a']},{r['b']};{r['m']})" for r in s["roots"]) or "-")
                 for s in doc
-            ], "json": _json}),
+            ], "json": emit.json_lines}),
     Command("appendix-check", "staircase splice wall checks",
             ((("--gamma",), {"default": ""}), (("--delta",), {"default": ""}),
              (("--seed",), {"type": _int, "default": None,
@@ -372,11 +370,11 @@ COMMANDS = (
              (("--cases",), {"type": _count, "default": None,
                              "help": "random pairs when --seed is given"})),
             _appendix_check,
-            {"text": _appendix_text, "json": _json}),
+            {"text": _appendix_text, "json": emit.json_lines}),
     Command("path", "lattice path vertices (json) or rank-3 SVG plot", (_GALLERY,),
             lambda args: emit.path_document(_gallery(args)),
             {"text": lambda doc: [" ".join(str(c) for c in vertex) for vertex in doc["vertices"]],
-             "json": _json, "svg": emit.path_svg}),
+             "json": emit.json_lines, "svg": emit.path_svg}),
 )
 
 

@@ -1,16 +1,20 @@
-"""Documents and their renderers: JSON-ready documents, text, DOT graphs
-and SVG path plots.
+"""Documents and their renderers: JSON, text, DOT graphs and SVG path plots.
 
 Each ``*_document`` function turns a result into plain lists, dicts, strings
-and ints once; the renderers (`graph_text`, `graph_dot`, `path_svg`) take a
-document and return output lines.  All output is deterministic: vertex
-orders are canonical, keys are written in a fixed order, and floating point
-output is formatted with a fixed precision.  SVG rendering is only defined
-for rank 3, where the three coordinate directions project onto the plane at
-60, 180 and 300 degrees.
+and ints once; the renderers (`json_lines`, `graph_text`, `graph_dot`,
+`path_svg`) take a document and return output lines.  `json_lines` writes
+the bytes of ``json.dumps(document, indent=2)`` from C-escaped leaves, not
+through the pure-Python encoder that json.dumps runs when given an indent.
+All output is deterministic: vertex orders are canonical, keys are written
+in a fixed order, and floating point output is formatted with a fixed
+precision.  SVG rendering is only defined for rank 3, where the three
+coordinate directions project onto the plane at 60, 180 and 300 degrees.
 """
 
 from __future__ import annotations
+
+import json
+from json.encoder import encode_basestring_ascii
 
 from .errors import SvgRankUnsupported
 from .affine import crossing_sets
@@ -32,6 +36,31 @@ def graph_document(graph: CrystalGraph) -> dict:
         "vertices": [format_gallery(g) for g in vertices],
         "edges": [{"from": u, "to": v, "i": i} for u, i, v in edges],
     }
+
+
+def json_lines(document) -> list[str]:
+    return [_encode(document, "\n")]
+
+
+def _encode(value, pad: str) -> str:
+    """``json.dumps(value, indent=2)`` for a value nested at ``pad``, its newline
+    and indent.  Only exact str, int, float, bool, None, dict, list and tuple
+    values and str keys are written; anything else raises `TypeError`."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return repr(value)
+    if value is None or kind is bool or kind is float:
+        return json.dumps(value)
+    inner = pad + "  "
+    if kind is dict:  # encode_basestring_ascii raises TypeError on a non-str key
+        items = [f"{encode_basestring_ascii(k)}: {_encode(v, inner)}" for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + pad + "}" if items else "{}"
+    if kind is list or kind is tuple:
+        items = [_encode(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + pad + "]" if items else "[]"
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def graph_text(document: dict) -> list[str]:

@@ -15,6 +15,7 @@ the chosen lift, which is fixed here to start at the origin.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from operator import attrgetter
 
 from .errors import (
@@ -335,7 +336,12 @@ _COLUMN = re.compile(r"\s*[0-9]+\s*(?:,\s*[0-9]+\s*)*")
 
 
 def format_gallery(gallery: Gallery) -> str:
-    return "|".join(",".join(str(a) for a in col) for col in reversed(gallery.columns))
+    return "|".join(map(_column_text, reversed(gallery.columns)))
+
+
+@lru_cache(maxsize=4096)
+def _column_text(column: tuple[int, ...]) -> str:
+    return ",".join(map(str, column))
 
 
 def parse_gallery(text: str, rank: int) -> Gallery:

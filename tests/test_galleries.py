@@ -47,6 +47,8 @@ from gallery_crystals import (
     weight,
     word,
 )
+from gallery_crystals import galleries
+from gallery_crystals.affine import random_gallery
 from _support import G, columnwise_parse_gallery, gallery_universe, weight_sum
 
 
@@ -395,6 +397,20 @@ class TestTextFormats:
         for text in ["", "1", "3|1,2|5|2", "1,2|1", "2|3|1"]:
             rank = 5 if "5" in text else 3
             assert format_gallery(parse_gallery(text, rank)) == text
+
+    @pytest.mark.parametrize("rank", [*range(2, 13), 141])
+    def test_format_gallery_matches_letterwise_formula(self, rank):
+        # Ranks past 9 give multi-digit letters.
+        rng = random.Random(rank)
+        assert format_gallery(Gallery(rank, ())) == ""
+        for _ in range(50):
+            gallery = random_gallery(rng, rank, max_columns=12)
+            assert format_gallery(gallery) == "|".join(
+                ",".join(str(a) for a in col) for col in reversed(gallery.columns)
+            )
+
+    def test_column_text_cache_is_bounded(self):
+        assert galleries._column_text.cache_info().maxsize == 4096
 
     def test_word_forms(self):
         assert parse_word("2 5 1 2 3", 5) == (2, 5, 1, 2, 3)
