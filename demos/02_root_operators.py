@@ -16,7 +16,7 @@ print("gallery:", format_gallery(star))
 for i in (1, 2):
     tags = i_signature(star, i)
     print(f"\ni = {i}")
-    print("  display tags      :", "".join(t.value for t in tags))
+    print("  display tags      :", tags)
     print("  epsilon, phi      :", epsilon(star, i), phi(star, i))
     lowered = f(star, i)
     print("  f_i               :", format_gallery(lowered) if lowered else "0")

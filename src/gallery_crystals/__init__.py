@@ -33,7 +33,6 @@ from .galleries import (
     Gallery,
     WeightVector,
     concat,
-    dominance_leq,
     format_gallery,
     format_word,
     gallery_from_word,
@@ -46,7 +45,6 @@ from .galleries import (
     word,
 )
 from .operators import (
-    Tag,
     e,
     epsilon,
     f,

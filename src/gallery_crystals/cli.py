@@ -311,7 +311,7 @@ COMMANDS = (
             {"text": lambda doc: [_bool(doc["dominant"])], "json": emit.json_lines}),
     Command("signature", "column tags for index i, display order", (_I, _GALLERY),
             lambda args: {"i": args.i,
-                          "tags": [t.value for t in i_signature(_gallery(args), args.i)]},
+                          "tags": list(i_signature(_gallery(args), args.i))},
             {"text": lambda doc: ["".join(doc["tags"])], "json": emit.json_lines}),
     Command("apply", "apply a root operator; inapplicable prints 0",
             ((("--op",), {"choices": ("f", "e"), "required": True}), _I,

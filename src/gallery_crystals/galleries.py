@@ -9,7 +9,9 @@ gallery with reading-order columns ``[2], [5], [1,2], [3]``.
 Weights live in Z^n modulo the all-ones vector.  `WeightVector` keeps the
 canonical representative with minimum coordinate 0; `path_vertices` returns
 raw (non-canonical) partial sums in Z^n because affine wall levels depend on
-the chosen lift, which is fixed here to start at the origin.
+the chosen lift, which is fixed here to start at the origin.  A gallery made
+where its weight is known (a crystal walk, a tableau enumeration) holds it
+from birth; `weight` tallies any other gallery once and keeps its weight.
 """
 
 from __future__ import annotations
@@ -109,9 +111,11 @@ class Gallery(_Value):
     (length ``rank``) raise `ColumnTooLong`.  Letters must be ints: the
     constructor rejects floats, strings and bools instead of converting
     them, and stores members of other int subclasses as plain ints.
+    The ``_weight`` slot, once set, holds `weight`'s value; it is not a field.
     """
 
-    __slots__ = _fields = ("rank", "columns")
+    __slots__ = ("rank", "columns", "_weight")
+    _fields = ("rank", "columns")
 
     def __init__(self, rank: int, columns: tuple[tuple[int, ...], ...] = ()) -> None:
         _check_rank(rank)
@@ -136,12 +140,14 @@ class Gallery(_Value):
         self._freeze(rank, cols)
 
     @classmethod
-    def _unsafe(cls, rank: int, columns: tuple[tuple[int, ...], ...]) -> "Gallery":
-        # Fast path for internal construction from already-validated columns.
+    def _unsafe(cls, rank: int, columns: tuple[tuple[int, ...], ...], mu=None) -> "Gallery":
+        # Fast path from already-validated columns, with their weight if known.
         obj = object.__new__(cls)
         _set(obj, "rank", rank)
         _set(obj, "columns", columns)
         _set(obj, "_hash", hash((rank, columns)))
+        if mu is not None:
+            _set(obj, "_weight", mu)
         return obj
 
     @property
@@ -175,12 +181,20 @@ def concat(outer: Gallery, inner: Gallery) -> Gallery:
 
 
 def weight(gallery: Gallery) -> "WeightVector":
-    """Letter multiplicities of the gallery, as a canonical weight vector."""
-    tallies = [0] * (gallery.rank + 1)
-    for col in gallery.columns:
-        for a in col:
-            tallies[a] += 1
-    return WeightVector._unsafe(tuple(tallies[1:]))
+    """Letter multiplicities of the gallery, as a canonical weight vector.
+
+    Read from the gallery when set at its birth; otherwise tallied once and kept.
+    """
+    try:
+        return gallery._weight
+    except AttributeError:
+        tallies = [0] * (gallery.rank + 1)
+        for col in gallery.columns:
+            for a in col:
+                tallies[a] += 1
+        mu = WeightVector._unsafe(tuple(tallies[1:]))
+        _set(gallery, "_weight", mu)
+        return mu
 
 
 def path_vertices(gallery: Gallery) -> tuple[LatticePoint, ...]:
@@ -257,21 +271,12 @@ class WeightVector(_Value):
         return DominantWeight(coeffs)
 
 
-def dominance_leq(mu: WeightVector, lam: WeightVector) -> bool:
-    """Whether lam - mu is a nonnegative integer combination of simple roots."""
-    if mu.rank != lam.rank:
-        raise RankMismatch("weight vectors of different ranks")
-    n = mu.rank
-    gap = sum(lam.counts) - sum(mu.counts)
-    if gap % n:
-        return False
-    shift = gap // n
-    prefix = 0
-    for a, b in zip(mu.counts, lam.counts):
-        prefix += b - (a + shift)
-        if prefix < 0:
-            return False
-    return prefix == 0
+class _Weights(dict):
+    """Letter tallies to their one `WeightVector`, made on first lookup."""
+
+    def __missing__(self, tallies: tuple[int, ...]) -> WeightVector:
+        mu = self[tallies] = WeightVector._unsafe(tallies)
+        return mu
 
 
 class DominantWeight(_Value):

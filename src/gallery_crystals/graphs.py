@@ -8,28 +8,33 @@ vertex's weight.
 
 `connected_component` raises a gallery to that source and generates the
 component from it by `_walk`, the one breadth-first search here, one i-string
-(one signature scan) at a time; `highest_weight_crystal` is the component of
-the dominant tableau.  `is_isomorphic` walks strings of stored edges.
+(one signature scan) at a time, and gives each vertex its weight from the
+vertex that listed it; `highest_weight_crystal` is the component of the
+dominant tableau.  `is_isomorphic` walks strings of stored edges.
 A gallery is a source exactly when its path stays in the dominant chamber,
 so `dominant_galleries` lists the sources of a shape crystal without
 visiting the rest of it, and `decompose` counts them by weight and searches
-no component.  `enumerate_ssyt` lists the vertex set of B(lambda) without
-any crystal operator, row by row as Gelfand-Tsetlin patterns, and serves as
-the independent check on the crystal side.
+no component.  `enumerate_ssyt` lists the vertex set of B(lambda), weighed,
+without any crystal operator, row by row as Gelfand-Tsetlin patterns, and
+serves as the independent check on the crystal side.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import combinations, product, repeat
+from itertools import combinations, islice, product, repeat
 from math import comb
+from operator import add, sub
 
 from .errors import NotConnected
 from .galleries import (
     DominantWeight,
     Gallery,
     Shape,
+    WeightVector,
+    _set,
     _Value,
+    _Weights,
     validate_shape,
     weight,
 )
@@ -81,41 +86,57 @@ def canonical_dominant_gallery(lam: DominantWeight) -> Gallery:
     return Gallery(lam.rank, columns)
 
 
-def _walk(source: Gallery, rank: int, strings) -> tuple[dict[Gallery, int], list]:
+def _walk(source: Gallery, rank: int, strings) -> tuple[dict[Gallery, int], list, list]:
     """Breadth-first search from a source: for each vertex v in visiting order
     and each i = 1..rank-1 whose i-string through v is not yet listed,
     ``strings(v, i)`` lists it top to bottom, each consecutive pair (u, w) an
     edge (u, w, i).  Returns the visiting number of each vertex reached (a
-    dict, so that ``frozenset(index)`` reuses its stored hashes) and the edges.
+    dict, so that ``frozenset(index)`` reuses its stored hashes), the edges,
+    and for each later vertex a birth record (k, i, place, length): it was at
+    ``place`` on the i-string of ``length`` members listed from vertex k.
     """
     index = {source: 0}
     order = [source]
     listed = [0]  # bit i of listed[k]: the i-string through order[k] is listed
     edges = []
+    births = []
     for k, v in enumerate(order):  # grows while iterated: breadth-first
         for i in range(1, rank):
             if listed[k] >> i & 1:
                 continue
             string = strings(v, i)
             edges += zip(string, string[1:], repeat(i))
-            for w in string:
+            for place, w in enumerate(string):
                 number = index.get(w)
                 if number is None:
                     index[w] = len(order)
                     order.append(w)
                     listed.append(1 << i)
+                    births.append((k, i, place, len(string)))
                 else:
                     listed[number] |= 1 << i
-    return index, edges
+    return index, edges, births
 
 
 def connected_component(gallery: Gallery) -> CrystalGraph:
     """The component of the gallery: the walk from its unique source lists
     each i-string once, so B(lambda) takes (n-1)(|V|+1) - |E| signature
     scans, n-1 of them finding that its dominant tableau is the source.
+    Each vertex gets its weight at birth from the vertex v that listed it:
+    v sits at epsilon_i = (length - 1 - <wt v, alpha_i>) / 2 on the i-string,
+    as phi_i + epsilon_i = length - 1 and phi_i - epsilon_i = <wt v, alpha_i>,
+    and each step up the string adds alpha_i.
     """
     source = highest_weight_vertex(gallery)
-    index, edges = _walk(source, source.rank, _string)
+    index, edges, births = _walk(source, source.rank, _string)
+    tallies, weights = [weight(source).counts], _Weights()
+    for w, (k, i, place, length) in zip(islice(index, 1, None), births):
+        counts = list(tallies[k])
+        up = (length - 1 - counts[i - 1] + counts[i]) // 2 - place
+        counts[i - 1] += up
+        counts[i] -= up
+        tallies.append(tuple(counts))
+        _set(w, "_weight", weights[tallies[-1]])
     return CrystalGraph(source.rank, frozenset(index), frozenset(edges))
 
 
@@ -146,7 +167,7 @@ def _numbered(graph: CrystalGraph) -> tuple[dict[Gallery, int], tuple]:
             seen.add(v)
         return string
 
-    index, edges = _walk(source, graph.rank, strings)
+    index, edges, _ = _walk(source, graph.rank, strings)
     if len(index) != len(graph):
         raise NotConnected("some vertex is not reached from the source")
     return index, (weight(source), [(index[u], i, index[v]) for u, v, i in edges])
@@ -216,12 +237,14 @@ def dominant_galleries(shape: Shape, rank: int):
 
 def _dominant_galleries(shape: Shape, rank: int, cap: list[int]):
     # `dominant_galleries`, also dropping a prefix with more than cap[a] of a
-    # letter a.  ``tallies[a]`` counts a; ``tallies[0]`` exceeds every count.
+    # letter a.  ``tallies[a]`` counts a, ``tallies[0]`` exceeds every count,
+    # and ``tallies[1:]`` gives each gallery its weight at birth.
     alphabets = [tuple(combinations(range(1, rank + 1), d)) for d in shape]
+    weights = _Weights()
 
     def extend(prefix, tallies):
         if len(prefix) == len(alphabets):
-            yield Gallery._unsafe(rank, prefix)
+            yield Gallery._unsafe(rank, prefix, weights[tuple(tallies[1:])])
             return
         for col in alphabets[len(prefix)]:
             grown = list(tallies)
@@ -260,12 +283,13 @@ def decompose(shape: Shape, rank: int) -> Decomposition:
     representatives.
     """
     shape = validate_shape(shape, rank)
-    reps: dict[DominantWeight, list[Gallery]] = {}
+    reps: dict[WeightVector, list[Gallery]] = {}
     for gallery in dominant_galleries(shape, rank):
-        reps.setdefault(weight(gallery).to_dominant_weight(), []).append(gallery)
+        reps.setdefault(weight(gallery), []).append(gallery)
+    lams = {mu.to_dominant_weight(): tops for mu, tops in reps.items()}
     entries = tuple(
         DecompositionEntry(lam=lam, multiplicity=len(tops), representatives=tuple(tops))
-        for lam, tops in sorted(reps.items(), key=lambda item: item[0].coeffs)
+        for lam, tops in sorted(lams.items(), key=lambda item: item[0].coeffs)
     )
     return Decomposition(
         rank=rank, shape=shape, entries=entries, total=count_galleries(shape, rank)
@@ -310,8 +334,10 @@ def enumerate_ssyt(shape: Shape, rank: int) -> list[Gallery]:
     runs of equal letters, and the columns of height t + 1 are sliced out of
     rows 0..t with ``zip`` as soon as row t is chosen.
 
-    The order is lexicographic on the row-major entries.  The crystal
-    operators are not used, so the result can check `highest_weight_crystal`.
+    The order is lexicographic on the row-major entries.  Each tableau holds
+    its weight: the tally of letter v is the sum over the rows of
+    P_t(v) - P_t(v-1).  The crystal operators are not used, so the result
+    can check `highest_weight_crystal`.
     A non-monotone shape has no tableaux.
     """
     shape = validate_shape(shape, rank)
@@ -321,19 +347,21 @@ def enumerate_ssyt(shape: Shape, rank: int) -> list[Gallery]:
     depth = heights[0] if heights else 0
     # lengths[t] is the length of display row t; zero below the last row.
     lengths = [sum(1 for d in heights if d > t) for t in range(depth + rank)]
-    # Partial tableaux as (prefix counts of the last row, its rows so far,
-    # reading-order columns of the finished bands).  Rows are stored in
-    # reading order, so row s covers the last lengths[s] reading positions.
-    # Row 0 has no row above; its caps are its own length.
-    partial = [((lengths[0],) * (rank + 1), (), ())]
+    # Partial tableaux as (prefix counts of the last row, their sums over the
+    # rows so far, the rows, reading-order columns of the finished bands).
+    # Rows are stored in reading order, so row s covers the last lengths[s]
+    # reading positions.  Row 0 has no row above; its caps are its own length.
+    partial = [((lengths[0],) * (rank + 1), (0,) * (rank + 1), (), ())]
     for t in range(depth):
         band = [(lengths[s] - lengths[t], lengths[s] - lengths[t + 1]) for s in range(t + 1)]
         grown = []
-        for above, rows, columns in partial:
+        for above, sums, rows, columns in partial:
             for prefix, row in _row_fillings(rank, lengths, t, above):
                 block = rows + (row,)
-                grown.append((prefix, block, columns + tuple(
+                grown.append((prefix, tuple(map(add, sums, prefix)), block, columns + tuple(
                     zip(*[r[a:b] for r, (a, b) in zip(block, band)])
                 )))
         partial = grown
-    return [Gallery._unsafe(rank, columns) for _, _, columns in partial]
+    weights = _Weights()
+    return [Gallery._unsafe(rank, columns, weights[tuple(map(sub, sums[1:], sums))])
+            for _, sums, _, columns in partial]

@@ -25,7 +25,6 @@ from .galleries import (
     Shape,
     _set,
     _Value,
-    dominance_leq,
     validate_shape,
     weight,
 )
@@ -57,11 +56,7 @@ class MVLabel(_Value):
                 f"tableau shape {tableau.shape} does not match "
                 f"underline(lambda) = {lam.column_shape()}"
             )
-        mu = weight(tableau)
-        # Unreachable: a tableau of shape underline(lambda) has weight below lambda.
-        if not dominance_leq(mu, lam.to_weight_vector()):
-            raise InvalidLabel("mu is not below lambda in dominance order")
-        _set(self, "mu", mu)
+        _set(self, "mu", weight(tableau))
         self._freeze(lam, tableau)
 
 
@@ -123,7 +118,7 @@ def verify_surjectivity(shape: Shape, rank: int) -> SurjectivityReport:
     misses: list[tuple[DominantWeight, Gallery]] = []
     checked = 0
     for entry in decompose(shape, rank).entries:
-        index, _ = _walk(entry.representatives[0], rank, _string)
+        index, _, _ = _walk(entry.representatives[0], rank, _string)
         underline = entry.lam.column_shape()
         hit = {t for t in map(normal_form, index) if t.shape == underline}
         dimension = weyl_dimension(entry.lam)

@@ -1,7 +1,7 @@
 """Root operators e_i, f_i on galleries via column tagging and cancellation.
 
 Each column gets a tag for the index i: "+" if it contains i but not i+1,
-"-" if it contains i+1 but not i, and no tag otherwise.  Reading the tags in
+"-" if it contains i+1 but not i, and "0" otherwise.  Reading the tags in
 display order (left to right), adjacent "- +" pairs cancel repeatedly until
 the survivors read (+)^s (-)^r.  Then f_i bumps i to i+1 in the column of the
 rightmost surviving "+", e_i bumps i+1 to i in the column of the leftmost
@@ -17,32 +17,17 @@ survives, every later column is matched as before, and so the next "+" is first.
 
 from __future__ import annotations
 
-import enum
-
 from .errors import BrokenColumn
 from .galleries import Gallery, _check_index
 
 
-class Tag(enum.Enum):
-    PLUS = "+"
-    MINUS = "-"
-    NONE = "0"
-
-
-def i_signature(gallery: Gallery, i: int) -> tuple[Tag, ...]:
-    """Column tags for index i, in display (left-to-right) order."""
+def i_signature(gallery: Gallery, i: int) -> str:
+    """Column tags for index i, in display (left-to-right) order: "+", "-" or "0"."""
     _check_index(i, gallery.rank)
-    tags = []
-    for col in reversed(gallery.columns):
-        has_low = i in col
-        has_high = (i + 1) in col
-        if has_low == has_high:
-            tags.append(Tag.NONE)
-        elif has_low:
-            tags.append(Tag.PLUS)
-        else:
-            tags.append(Tag.MINUS)
-    return tuple(tags)
+    return "".join(
+        "0" if (i in col) == (i + 1 in col) else "+" if i in col else "-"
+        for col in reversed(gallery.columns)
+    )
 
 
 def _survivors(gallery: Gallery, i: int) -> tuple[list[int], list[int]]:

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import random
 import re
-from collections import deque
+from collections import Counter, deque
+from itertools import chain
 
 from gallery_crystals import (
     CrystalGraph,
@@ -14,6 +15,7 @@ from gallery_crystals import (
     Gallery,
     NotConnected,
     ParseError,
+    RankMismatch,
     SurjectivityReport,
     WeightVector,
     concat,
@@ -32,7 +34,6 @@ from gallery_crystals import (
     weyl_dimension,
 )
 from gallery_crystals.galleries import Shape, validate_shape
-from gallery_crystals.operators import Tag
 
 
 def G(text: str, rank: int) -> Gallery:
@@ -56,6 +57,30 @@ def columnwise_parse_gallery(text: str, rank: int) -> Gallery:
 def weight_sum(mu: WeightVector, nu: WeightVector) -> WeightVector:
     """The sum of two weight vectors of one rank, coordinate by coordinate."""
     return WeightVector(tuple(a + b for a, b in zip(mu.counts, nu.counts, strict=True)))
+
+
+def letter_tally(gallery: Gallery) -> WeightVector:
+    """Reference for `weight`: count the letters of the columns, never reading
+    a weight the gallery holds."""
+    tallies = Counter(chain.from_iterable(gallery.columns))
+    return WeightVector(tuple(tallies[a] for a in range(1, gallery.rank + 1)))
+
+
+def dominance_leq(mu: WeightVector, lam: WeightVector) -> bool:
+    """Whether lam - mu is a nonnegative integer combination of simple roots."""
+    if mu.rank != lam.rank:
+        raise RankMismatch("weight vectors of different ranks")
+    n = mu.rank
+    gap = sum(lam.counts) - sum(mu.counts)
+    if gap % n:
+        return False
+    shift = gap // n
+    prefix = 0
+    for a, b in zip(mu.counts, lam.counts):
+        prefix += b - (a + shift)
+        if prefix < 0:
+            return False
+    return prefix == 0
 
 
 def plus_simple_root(mu: WeightVector, i: int, times: int = 1) -> WeightVector:
@@ -306,12 +331,12 @@ def randomized_reduction(tags, rng: random.Random):
     """Reference reducer: drop untagged columns, then remove adjacent (- +)
     display pairs in random order until none remain.  Returns the surviving
     (position, tag) pairs with original display positions."""
-    items = [(pos, tag) for pos, tag in enumerate(tags) if tag is not Tag.NONE]
+    items = [(pos, tag) for pos, tag in enumerate(tags) if tag != "0"]
     while True:
         pairs = [
             k
             for k in range(len(items) - 1)
-            if items[k][1] is Tag.MINUS and items[k + 1][1] is Tag.PLUS
+            if items[k][1] == "-" and items[k + 1][1] == "+"
         ]
         if not pairs:
             return items

@@ -4,9 +4,7 @@ import copy
 import inspect
 import pickle
 import random
-from collections import Counter
 from enum import IntEnum
-from itertools import chain
 
 import pytest
 
@@ -29,7 +27,6 @@ from gallery_crystals import (
     connected_component,
     count_galleries,
     decompose,
-    dominance_leq,
     dominant_galleries,
     enumerate_ssyt,
     format_gallery,
@@ -49,7 +46,14 @@ from gallery_crystals import (
 )
 from gallery_crystals import galleries
 from gallery_crystals.affine import random_gallery
-from _support import G, columnwise_parse_gallery, gallery_universe, weight_sum
+from _support import (
+    G,
+    columnwise_parse_gallery,
+    dominance_leq,
+    gallery_universe,
+    letter_tally,
+    weight_sum,
+)
 
 
 class TestValidateGallery:
@@ -125,6 +129,12 @@ class TestValidateGallery:
             parse_gallery("\u0661,\u0662|\u0663", 3)
 
 
+def weighed(gallery: Gallery) -> Gallery:
+    """The gallery, once its weight is known and held."""
+    weight(gallery)
+    return gallery
+
+
 VALUES = [
     (Gallery(3, ((1,), (1, 2))), lambda: Gallery(3, [[1], [1, 2]])),
     (Gallery(4), lambda: parse_gallery("", 4)),
@@ -132,6 +142,7 @@ VALUES = [
     (WeightVector((3, 1, 1)), lambda: weight(G("1|1", 3))),
     (DominantWeight((2, 0)), lambda: WeightVector((3, 1, 1)).to_dominant_weight()),
     (highest_weight_crystal(DominantWeight((1, 1))), lambda: connected_component(G("1,3|1", 3))),
+    (weighed(Gallery(3, ((1, 3), (2,)))), lambda: Gallery(3, ((1, 3), (2,)))),
 ]
 
 
@@ -147,7 +158,7 @@ class TestValueClasses:
     @pytest.mark.parametrize("value, rebuild", VALUES)
     def test_fields_cannot_change(self, value, rebuild):
         fields = ("rank", "columns", "counts", "coeffs", "vertices", "edges")
-        for name in [name for name in fields if hasattr(value, name)] + ["_hash", "extra"]:
+        for name in [name for name in fields if hasattr(value, name)] + ["_hash", "_weight", "extra"]:
             with pytest.raises(AttributeError):
                 setattr(value, name, None)
             with pytest.raises(AttributeError):
@@ -161,6 +172,7 @@ class TestValueClasses:
 
     def test_repr_names_the_fields(self):
         assert repr(Gallery(3, ((1,),))) == "Gallery(rank=3, columns=((1,),))"
+        assert repr(weighed(Gallery(3, ((1,),)))) == "Gallery(rank=3, columns=((1,),))"
         assert repr(WeightVector((2, 1))) == "WeightVector(counts=(1, 0))"
         assert repr(DominantWeight((1, 0))) == "DominantWeight(coeffs=(1, 0))"
 
@@ -262,17 +274,21 @@ class TestWeight:
         assert weight(Gallery(4)).counts == (0, 0, 0, 0)
 
     def test_matches_counter_reference(self):
-        def reference(gallery):
-            tallies = Counter(chain.from_iterable(gallery.columns))
-            return WeightVector(tuple(tallies.get(a, 0) for a in range(1, gallery.rank + 1)))
-
         galleries = [Gallery(2), Gallery(5)]
         for rank in range(2, 6):
             galleries += gallery_universe(rank, 5)
         for g in galleries:
-            mu, expected = weight(g), reference(g)
+            mu, expected = weight(g), letter_tally(g)
             assert mu == expected and hash(mu) == hash(expected), g
             assert min(mu.counts) == 0
+
+    def test_computed_once(self):
+        # The first call tallies the letters and keeps the weight; later
+        # calls return that same vector.
+        g = Gallery(3, ((1, 2), (1,), (3,)))
+        first = weight(g)
+        assert weight(g) is first
+        assert first == WeightVector((2, 1, 1))
 
     def test_concat_additive(self):
         a = G("1,2|1", 3)

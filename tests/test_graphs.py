@@ -1,5 +1,7 @@
 """Crystal graphs: components, highest weights, B(lambda), decompositions."""
 
+import random
+
 import pytest
 
 from gallery_crystals import (
@@ -31,7 +33,9 @@ from _support import (
     G,
     cellwise_ssyt,
     component_decomposition,
+    dominance_leq,
     gallery_universe,
+    letter_tally,
     shapes_up_to,
     traversal_isomorphism,
     two_sided_closure,
@@ -418,3 +422,43 @@ class TestEnumerateSsyt:
 
     def test_all_galleries_of_shape_count(self):
         assert sum(1 for _ in galleries_of_shape((1, 2, 1), 4)) == 4 * 6 * 4
+
+
+def birth_cases() -> list[DominantWeight]:
+    """Seeded weights at ranks 2-6, with the long one-row shape (60) and
+    weights whose tableaux use every letter, so that some vertex's tallies
+    shift down to a minimum of 0."""
+    rng = random.Random(20261019)
+    cases = [DominantWeight((60,)), DominantWeight((2, 1)), DominantWeight((1, 1, 1))]
+    for rank, bound in ((2, 40), (3, 60), (4, 60), (5, 40), (6, 40)):
+        cases += rng.sample(weights_with_dimension_at_most(rank, bound), 3)
+    return cases
+
+
+class TestWeightsAtBirth:
+    """B(lambda) and `enumerate_ssyt` set each gallery's weight as they make it."""
+
+    @pytest.mark.parametrize("lam", birth_cases(), ids=str)
+    def test_crystal_vertices(self, lam):
+        vertices = highest_weight_crystal(lam).vertices
+        for v in vertices:
+            assert weight(v) == letter_tally(v), v
+        # Equal weights are one vector: the walk set them, nothing tallied.
+        assert len({id(weight(v)) for v in vertices}) == len({weight(v) for v in vertices})
+
+    @pytest.mark.parametrize("lam", birth_cases(), ids=str)
+    def test_tableaux(self, lam):
+        tableaux = enumerate_ssyt(lam.column_shape(), lam.rank)
+        top = lam.to_weight_vector()
+        for t in tableaux:
+            assert weight(t) == letter_tally(t), t
+            assert dominance_leq(weight(t), top), t
+        assert len({id(weight(t)) for t in tableaux}) == len({weight(t) for t in tableaux})
+
+    def test_every_letter_used(self):
+        # A tableau holding every letter has all tallies positive, so its
+        # weight is its tallies shifted down.
+        for lam in (DominantWeight((2, 1)), DominantWeight((1, 1, 1)), DominantWeight((60,))):
+            full = [t for t in enumerate_ssyt(lam.column_shape(), lam.rank)
+                    if len(set(a for col in t.columns for a in col)) == lam.rank]
+            assert full and all(weight(t) == letter_tally(t) for t in full)

@@ -53,6 +53,15 @@ def test_aliases_are_gone(name):
     assert not hasattr(gallery_crystals, name)
 
 
+@pytest.mark.parametrize("name", ["Tag", "dominance_leq"])
+def test_names_for_tests_only_are_gone(name):
+    # i_signature returns its tags as a string ("+-0"), and the dominance
+    # order, which no label can fail, is a test oracle in tests/_support.
+    assert not hasattr(gallery_crystals, name)
+    assert not hasattr(gallery_crystals.operators, name)
+    assert not hasattr(gallery_crystals.galleries, name)
+
+
 @pytest.mark.parametrize("owner, method", [("WeightVector", "__add__"), ("Gallery", "__len__")])
 def test_unused_methods_are_gone(owner, method):
     # Nothing called them: weights are added through their counts, and a
