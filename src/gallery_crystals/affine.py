@@ -41,6 +41,13 @@ class AffineRoot(namedtuple("AffineRoot", "a b level")):
         return point[self.a - 1] - point[self.b - 1]
 
 
+def _crossed(cur, col, n: int) -> tuple[AffineRoot, ...]:
+    # The one crossing rule: the segment from ``cur`` that adds ``col`` crosses
+    # (a, b) for a in the column and b > a not in it, at level cur_a - cur_b.
+    return tuple(AffineRoot(a, b, cur[a - 1] - cur[b - 1])
+                 for a in col for b in range(a + 1, n + 1) if b not in col)
+
+
 def crossing_sets(gallery: Gallery) -> tuple[tuple[AffineRoot, ...], ...]:
     """Per-segment crossing sets along the gallery's path, in (a, b) order.
 
@@ -49,24 +56,22 @@ def crossing_sets(gallery: Gallery) -> tuple[tuple[AffineRoot, ...], ...]:
     column and b is not; the level is the pairing at the segment's start.
     """
     n = gallery.rank
-    return tuple(
-        tuple(AffineRoot(a, b, cur[a - 1] - cur[b - 1])
-              for a in col for b in range(a + 1, n + 1) if b not in col)
-        for cur, col in zip(path_vertices(gallery), gallery.columns)
-    )
+    return tuple(_crossed(cur, col, n)
+                 for cur, col in zip(path_vertices(gallery), gallery.columns))
 
 
 def _staircase(gamma: Gallery, delta: Gallery) -> tuple:
     """(k, x, segments): the splice's reading position len(delta), a lift x of
-    its start, and the crossing sets of eta's segments k, ..., k + n - 1."""
+    its start, and the crossing sets of eta's segments k, ..., k + n - 1,
+    walked up from x one letter at a time by the rule of `crossing_sets`."""
     if gamma.rank != delta.rank:
         raise RankMismatch(f"ranks {gamma.rank} and {delta.rank} differ")
     x = weight(delta).counts
-    n = len(x)
-    return len(delta.columns), x, tuple(
-        tuple(AffineRoot(j, b, x[j - 1] - x[b - 1]) for b in range(j + 1, n + 1))
-        for j in range(1, n + 1)
-    )
+    n, cur, segments = len(x), list(x), []
+    for j in range(1, n + 1):
+        segments.append(_crossed(cur, (j,), n))
+        cur[j - 1] += 1
+    return len(delta.columns), x, tuple(segments)
 
 
 class WallCheck(namedtuple("WallCheck", "ok witness", defaults=(None,))):

@@ -64,7 +64,7 @@ from .graphs import (
     weyl_dimension,
 )
 from .mv import MVLabel, fiber, image_weights, mv_label
-from .operators import e, f, i_signature
+from .operators import _move, i_signature
 from .plactic import equivalent, normal_form, oracle_plactic_classes
 
 # The most galleries (decompose, image-weights, fiber), crystal vertices
@@ -160,12 +160,7 @@ def _validate(args) -> dict:
 
 
 def _apply(args) -> dict:
-    result = _gallery(args)
-    op = f if args.op == "f" else e
-    for _ in range(args.times):
-        result = op(result, args.i)
-        if result is None:
-            break
+    result = _move(_gallery(args), args.i, args.times if args.op == "f" else -args.times)
     return {"result": None if result is None else format_gallery(result)}
 
 

@@ -38,7 +38,7 @@ from .galleries import (
     validate_shape,
     weight,
 )
-from .operators import _string, e
+from .operators import _raise_to_source, _string
 
 
 class CrystalGraph(_Value):
@@ -54,29 +54,8 @@ class CrystalGraph(_Value):
         return len(self.vertices)
 
 
-def _raise_to_source(gallery: Gallery) -> tuple[Gallery, list[int]]:
-    """Apply raising operators until none applies; smallest index first.
-
-    Returns the source reached and the index of each e_i applied, in order.
-    The source does not depend on the order of application (each step
-    raises the weight and the component has a unique source); a randomized
-    property test enforces this.
-    """
-    n = gallery.rank
-    current, indices = gallery, []
-    while True:
-        for i in range(1, n):
-            raised = e(current, i)
-            if raised is not None:
-                current = raised
-                indices.append(i)
-                break
-        else:
-            return current, indices
-
-
 def highest_weight_vertex(gallery: Gallery) -> Gallery:
-    """The source of the gallery's component: raise until no e_i applies."""
+    """The source of the gallery's component: raise a whole i-string per scan."""
     return _raise_to_source(gallery)[0]
 
 

@@ -16,7 +16,6 @@ brute-force versions over the whole shape are test oracles.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import reduce
 
 from .errors import InvalidLabel, RankMismatch
 from .galleries import (
@@ -30,13 +29,12 @@ from .galleries import (
 )
 from .graphs import (
     _dominant_galleries,
-    _raise_to_source,
     _walk,
     decompose,
     enumerate_ssyt,
     weyl_dimension,
 )
-from .operators import _string, f
+from .operators import _move, _raise_to_source, _string
 from .plactic import is_ssyt, normal_form
 
 
@@ -73,8 +71,8 @@ def fiber(label: MVLabel, shape: Shape, rank: int | None = None) -> tuple[Galler
     """All galleries of the shape whose normal form is the label's tableau.
 
     Each component whose top, a dominant gallery, has lambda's weight holds
-    one fiber member: the e-moves raising the tableau to the top of
-    B(lambda), replayed in reverse as f-moves, take the top to it.  With no
+    one fiber member: the jumps e_i^k raising the tableau to the top of
+    B(lambda), replayed in reverse as moves f_i^k, take the top to it.  With no
     such top the fiber is empty and the tableau is not raised; otherwise it
     has at most the shape's boxes.  Sorted by (shape, columns).  A ``rank``
     other than the tableau's raises `RankMismatch`.
@@ -90,9 +88,10 @@ def fiber(label: MVLabel, shape: Shape, rank: int | None = None) -> tuple[Galler
     tops = [] if rest or lift < 0 else list(_dominant_galleries(shape, n, cap))
     if not tops:
         return ()
-    _, raised_by = _raise_to_source(label.tableau)
-    hits = [reduce(f, reversed(raised_by), top) for top in tops]
-    return tuple(sorted(hits, key=lambda g: (g.shape, g.columns)))
+    _, jumps = _raise_to_source(label.tableau)
+    for i, k in reversed(jumps):
+        tops = [_move(top, i, k) for top in tops]
+    return tuple(sorted(tops, key=lambda g: (g.shape, g.columns)))
 
 
 def image_weights(shape: Shape, rank: int) -> dict[DominantWeight, int]:

@@ -13,6 +13,8 @@ surviving pluses in reading order, and e_i^k the last k surviving minuses.
 For f_i (e_i is the mirror image), the first surviving "+" was pushed on an
 empty stack and never popped; bumped to a "-", it meets that empty stack and
 survives, every later column is matched as before, and so the next "+" is first.
+So `_move` (one scan, one column copy) serves `e`, `f`, ``apply --times`` and
+`fiber`'s replay of the jumps by which `_raise_to_source` climbs whole strings.
 """
 
 from __future__ import annotations
@@ -70,18 +72,46 @@ def _bumped(gallery: Gallery, positions, old: int, new: int) -> list[Gallery]:
     return reached
 
 
+def _jump(gallery: Gallery, positions, old: int, new: int) -> Gallery:
+    columns = list(gallery.columns)
+    for pos in positions:
+        columns[pos] = _bump(columns[pos], old, new)
+    return Gallery._unsafe(gallery.rank, tuple(columns))
+
+
+def _move(gallery: Gallery, i: int, k: int) -> Gallery | None:
+    """f_i^k for k >= 0, e_i^-k for k < 0, from one scan; None past the string's
+    end.  The index is checked even for k = 0."""
+    _check_index(i, gallery.rank)
+    plus, minus = _survivors(gallery, i)
+    if not -len(minus) <= k <= len(plus):
+        return None
+    return _jump(gallery, plus[:k], i, i + 1) if k >= 0 else _jump(gallery, minus[k:], i + 1, i)
+
+
+def _raise_to_source(gallery: Gallery) -> tuple[Gallery, list[tuple[int, int]]]:
+    """The source of the gallery's component and the jumps (i, epsilon_i) to
+    it, smallest index first, one scan per index tried: a jump on i moves only
+    letters i and i+1, so i-1 is the one smaller index that can apply again.
+    The source does not depend on the order; a randomized property test checks it."""
+    jumps, i = [], 1
+    while i < gallery.rank:
+        _, minus = _survivors(gallery, i)
+        if minus:
+            gallery = _jump(gallery, minus, i + 1, i)
+            jumps.append((i, len(minus)))
+        i = max(i - 1, 1) if minus else i + 1
+    return gallery, jumps
+
+
 def f(gallery: Gallery, i: int) -> Gallery | None:
     """Lowering operator: bump i to i+1 in the rightmost surviving plus column."""
-    _check_index(i, gallery.rank)
-    plus, _ = _survivors(gallery, i)
-    return _bumped(gallery, plus[:1], i, i + 1)[0] if plus else None
+    return _move(gallery, i, 1)
 
 
 def e(gallery: Gallery, i: int) -> Gallery | None:
     """Raising operator: bump i+1 to i in the leftmost surviving minus column."""
-    _check_index(i, gallery.rank)
-    _, minus = _survivors(gallery, i)
-    return _bumped(gallery, minus[-1:], i + 1, i)[0] if minus else None
+    return _move(gallery, i, -1)
 
 
 def _string(gallery: Gallery, i: int) -> list[Gallery]:

@@ -327,6 +327,33 @@ def naive_phi(gallery: Gallery, i: int) -> int:
         count += 1
 
 
+def stepwise_move(gallery: Gallery, i: int, k: int) -> Gallery | None:
+    """Reference for `operators._move`: k single steps of f_i, or -k of e_i
+    for k < 0, with None once a step does not apply."""
+    op = f if k >= 0 else e
+    for _ in range(abs(k)):
+        gallery = op(gallery, i)
+        if gallery is None:
+            return None
+    return gallery
+
+
+def stepwise_raise(gallery: Gallery) -> tuple[Gallery, list[int]]:
+    """Reference for `operators._raise_to_source`: apply one e_i at a time,
+    smallest index first, until none applies.  Returns the source reached
+    and the index of each step, in order."""
+    current, indices = gallery, []
+    while True:
+        for i in range(1, gallery.rank):
+            raised = e(current, i)
+            if raised is not None:
+                current = raised
+                indices.append(i)
+                break
+        else:
+            return current, indices
+
+
 def randomized_reduction(tags, rng: random.Random):
     """Reference reducer: drop untagged columns, then remove adjacent (- +)
     display pairs in random order until none remain.  Returns the surviving

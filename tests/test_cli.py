@@ -264,6 +264,25 @@ class TestErrorsAndDeterminism:
         assert code == 1 and out == ""
         assert json.loads(err)["error"] == "non-increasing-column"
 
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (["signature", "--rank", "3", "--i", "3", "1"], "index-out-of-range"),
+            (["apply", "--rank", "3", "--op", "f", "--i", "7", "1|2"], "index-out-of-range"),
+            # The index is checked even when no step is taken.
+            (["apply", "--rank", "3", "--op", "f", "--i", "7", "--times", "0", "1|2"],
+             "index-out-of-range"),
+            (["apply", "--rank", "3", "--op", "e", "--i", "3", "--times", "0", ""],
+             "index-out-of-range"),
+            (["apply", "--rank", "3", "--op", "e", "--i", "7", "--times", "0", "2,1"],
+             "non-increasing-column"),
+        ],
+    )
+    def test_domain_error_table(self, capsys, argv, error):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == error
+
     def test_svg_needs_rank_three(self, capsys):
         code, out, err = invoke(capsys, "path", "--rank", "4", "--format", "svg", "1")
         assert code == 1 and out == ""

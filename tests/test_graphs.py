@@ -201,6 +201,25 @@ class TestScans:
             n = crystal.rank
             assert len(scans) == (n - 1) * (len(crystal) + 1) - len(crystal.edges) == expected
 
+    def test_raise_scans_once_per_index_tried(self, monkeypatch):
+        # Scans on 1 (a jump of 300), 1, 2 (a jump of 300), 1 and 2, where
+        # single steps take 902.
+        scans = []
+        survivors = operators._survivors
+
+        def counted(gallery, i):
+            scans.append(i)
+            return survivors(gallery, i)
+
+        monkeypatch.setattr(operators, "_survivors", counted)
+        top = highest_weight_vertex(Gallery(3, ((2, 3),) * 300))
+        assert top == Gallery(3, ((1, 2),) * 300)
+        assert len(scans) <= 5
+        # After a jump on i the next index tried is i - 1: jumps on 3, 2, 1.
+        scans.clear()
+        assert highest_weight_vertex(Gallery(4, ((4,),) * 50)) == Gallery(4, ((1,),) * 50)
+        assert scans == [1, 2, 3, 2, 1, 1, 2, 3]
+
 
 class TestIsIsomorphic:
     def test_shape_versus_word_reading(self):

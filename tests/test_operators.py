@@ -1,6 +1,7 @@
 """Root operators: tagging, cancellation, e/f, epsilon/phi."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -18,7 +19,8 @@ from gallery_crystals import (
     weight,
     word,
 )
-from gallery_crystals.operators import _string
+from gallery_crystals.affine import random_gallery
+from gallery_crystals.operators import _move, _raise_to_source, _string
 from _support import (
     G,
     gallery_universe,
@@ -26,6 +28,8 @@ from _support import (
     naive_phi,
     plus_simple_root,
     randomized_reduction,
+    stepwise_move,
+    stepwise_raise,
 )
 
 
@@ -170,6 +174,52 @@ class TestString:
                 string = _string(g, i)
                 assert string == chain
                 assert len(string) == epsilon(g, i) + phi(g, i) + 1
+
+
+def seeded_galleries(seed: int, count: int):
+    """Seeded galleries at ranks 2-6, up to 16 columns, so some strings are long."""
+    rng = random.Random(seed)
+    return [random_gallery(rng, rng.randint(2, 6), max_columns=16) for _ in range(count)]
+
+
+class TestMoves:
+    def test_move_matches_single_steps(self):
+        # One scan moves k steps along the string, and None past either end.
+        for g in seeded_galleries(1717, 300):
+            for i in range(1, g.rank):
+                for k in range(-epsilon(g, i) - 1, phi(g, i) + 2):
+                    assert _move(g, i, k) == stepwise_move(g, i, k), (g, i, k)
+
+    def test_raise_matches_single_steps(self):
+        # The jumps reach the stepwise source, and each index rises as often.
+        for g in seeded_galleries(1718, 300):
+            source, jumps = _raise_to_source(g)
+            stepped, indices = stepwise_raise(g)
+            assert source == stepped
+            totals = Counter()
+            for i, k in jumps:
+                totals[i] += k
+            assert totals == Counter(indices)
+
+    def test_raise_jumps_to_string_tops(self):
+        for g in seeded_galleries(1719, 200):
+            _, jumps = _raise_to_source(g)
+            current = g
+            for i, k in jumps:
+                assert k == epsilon(current, i) > 0
+                current = _move(current, i, -k)
+            assert all(epsilon(current, i) == 0 for i in range(1, g.rank))
+
+    def test_replay_gives_back_the_input(self):
+        for g in seeded_galleries(1720, 300):
+            current, jumps = _raise_to_source(g)
+            for i, k in reversed(jumps):
+                current = _move(current, i, k)
+            assert current == g
+
+    def test_long_string_is_one_jump_per_index(self):
+        g = Gallery(3, ((2, 3),) * 3000)
+        assert _raise_to_source(g) == (Gallery(3, ((1, 2),) * 3000), [(1, 3000), (2, 3000)])
 
 
 class TestCrystalAxiomsSmall:
