@@ -61,6 +61,7 @@ from .graphs import (
     count_galleries,
     decompose,
     highest_weight_crystal,
+    highest_weight_vertex,
     weyl_dimension,
 )
 from .mv import MVLabel, fiber, image_weights, mv_label
@@ -170,9 +171,9 @@ def _oracle_classes(args) -> list:
 
 
 def _component(args) -> dict:
-    gallery = _gallery(args)
-    _check_graph(mv_label(gallery).lam, sum(gallery.shape))
-    return emit.graph_document(connected_component(gallery))
+    source = highest_weight_vertex(_gallery(args))
+    _check_graph(weight(source).to_dominant_weight(), sum(source.shape))
+    return emit.graph_document(connected_component(source))
 
 
 def _lambda(args) -> DominantWeight:

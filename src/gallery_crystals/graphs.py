@@ -7,10 +7,11 @@ is dominant, and the component is determined up to isomorphism by that
 vertex's weight.
 
 `connected_component` raises a gallery to that source and generates the
-component from it by `_walk`, the one breadth-first search here, one i-string
-(one signature scan) at a time, and gives each vertex its weight from the
-vertex that listed it; `highest_weight_crystal` is the component of the
-dominant tableau.  `is_isomorphic` walks strings of stored edges.
+component from it by `_walk`, a breadth-first search one i-string (one
+signature scan) at a time, and gives each vertex its weight from the vertex
+that listed it; `highest_weight_crystal` is the component of the dominant
+tableau.  `is_isomorphic` numbers each graph's vertices by a breadth-first
+search from its source along the stored edges, either way.
 A gallery is a source exactly when its path stays in the dominant chamber,
 so `dominant_galleries` lists the sources of a shape crystal without
 visiting the rest of it, and `decompose` counts them by weight and searches
@@ -65,13 +66,13 @@ def canonical_dominant_gallery(lam: DominantWeight) -> Gallery:
     return Gallery(lam.rank, columns)
 
 
-def _walk(source: Gallery, rank: int, strings) -> tuple[dict[Gallery, int], list, list]:
+def _walk(source: Gallery) -> tuple[dict[Gallery, int], list, list]:
     """Breadth-first search from a source: for each vertex v in visiting order
     and each i = 1..rank-1 whose i-string through v is not yet listed,
-    ``strings(v, i)`` lists it top to bottom, each consecutive pair (u, w) an
-    edge (u, w, i).  Returns the visiting number of each vertex reached (a
-    dict, so that ``frozenset(index)`` reuses its stored hashes), the edges,
-    and for each later vertex a birth record (k, i, place, length): it was at
+    `_string` lists it top to bottom, each consecutive pair (u, w) an edge
+    (u, w, i).  Returns the visiting number of each vertex reached (a dict,
+    so that ``frozenset(index)`` reuses its stored hashes), the edges, and
+    for each later vertex a birth record (k, i, place, length): it was at
     ``place`` on the i-string of ``length`` members listed from vertex k.
     """
     index = {source: 0}
@@ -80,10 +81,10 @@ def _walk(source: Gallery, rank: int, strings) -> tuple[dict[Gallery, int], list
     edges = []
     births = []
     for k, v in enumerate(order):  # grows while iterated: breadth-first
-        for i in range(1, rank):
+        for i in range(1, source.rank):
             if listed[k] >> i & 1:
                 continue
-            string = strings(v, i)
+            string = _string(v, i)
             edges += zip(string, string[1:], repeat(i))
             for place, w in enumerate(string):
                 number = index.get(w)
@@ -107,7 +108,7 @@ def connected_component(gallery: Gallery) -> CrystalGraph:
     and each step up the string adds alpha_i.
     """
     source = highest_weight_vertex(gallery)
-    index, edges, births = _walk(source, source.rank, _string)
+    index, edges, births = _walk(source)
     tallies, weights = [weight(source).counts], _Weights()
     for w, (k, i, place, length) in zip(islice(index, 1, None), births):
         counts = list(tallies[k])
@@ -125,31 +126,29 @@ def highest_weight_crystal(lam: DominantWeight) -> CrystalGraph:
 
 
 def _numbered(graph: CrystalGraph) -> tuple[dict[Gallery, int], tuple]:
-    # A walk along the stored edges from the unique source: the visiting
-    # numbers, and the source's weight with the edges as (number, i, number).
+    # A breadth-first search from the unique source along the stored edges,
+    # either way: the visiting numbers, and the source's weight with the edges
+    # out of the vertices reached as (number, i, number), which come sorted.
     sources = graph.vertices - {v for _, v, _ in graph.edges}
     if len(sources) != 1:
         raise NotConnected(f"expected a unique source vertex, found {len(sources)}")
     (source,) = sources
     down = {(u, i): v for u, v, i in graph.edges}
     up = {(v, i): u for u, v, i in graph.edges}
-
-    def strings(v, i):
-        # Up to the top, then down.  A repeated vertex ends each way, and the
-        # way down keeps it last, so that the edge closing a cycle is read.
-        seen = {v}
-        while (v := up.get((v, i), v)) not in seen:
-            seen.add(v)
-        string, seen = [v], {v}
-        while (v := down.get((v, i))) is not None and len(seen) == len(string):
-            string.append(v)
-            seen.add(v)
-        return string
-
-    index, edges, _ = _walk(source, graph.rank, strings)
+    index = {source: 0}
+    order = [source]
+    edges = []
+    for k, v in enumerate(order):  # grows while iterated: breadth-first
+        for i in range(1, graph.rank):
+            for w in down.get((v, i)), up.get((v, i)):
+                if w is not None and w not in index:
+                    index[w] = len(order)
+                    order.append(w)
+            if (v, i) in down:
+                edges.append((k, i, index[down[v, i]]))
     if len(index) != len(graph):
         raise NotConnected("some vertex is not reached from the source")
-    return index, (weight(source), [(index[u], i, index[v]) for u, v, i in edges])
+    return index, (weight(source), edges)
 
 
 def is_isomorphic(
@@ -158,10 +157,10 @@ def is_isomorphic(
     """Label-preserving crystal isomorphism test for connected graphs.
 
     Graphs of different rank, size or edge count are not isomorphic.  Each
-    graph needs a unique source (no edge's target) whose walk along the
+    graph needs a unique source (no edge's target) whose search along the
     stored edges reaches every vertex, else `NotConnected`.  An isomorphism
     maps source to source and commutes with each f_i, so the graphs are
-    isomorphic exactly when the sources' weights and the walks' numbered
+    isomorphic exactly when the sources' weights and the searches' numbered
     edges agree; the vertex map pairs the two visiting orders.
     """
     if (first.rank, len(first), len(first.edges)) != (
@@ -206,9 +205,8 @@ def dominant_galleries(shape: Shape, rank: int):
 
     A depth-first search over the columns in reading order, each column's
     choices in lexicographic order as in `galleries_of_shape`, that drops a
-    prefix as soon as its last vertex leaves the dominant chamber.  The
-    recursion is one level per column; a shape long enough to reach Python's
-    limit has far too many dominant galleries to list.
+    prefix as soon as its last vertex leaves the dominant chamber.  It keeps
+    its own stack, so a shape of any length is searched, lazily.
     """
     shape = validate_shape(shape, rank)
     yield from _dominant_galleries(shape, rank, [len(shape)] * (rank + 1))
@@ -217,22 +215,22 @@ def dominant_galleries(shape: Shape, rank: int):
 def _dominant_galleries(shape: Shape, rank: int, cap: list[int]):
     # `dominant_galleries`, also dropping a prefix with more than cap[a] of a
     # letter a.  ``tallies[a]`` counts a, ``tallies[0]`` exceeds every count,
-    # and ``tallies[1:]`` gives each gallery its weight at birth.
+    # and ``tallies[1:]`` gives each gallery its weight at birth.  The stack
+    # holds the prefixes still to extend, the lexicographically least on top.
     alphabets = [tuple(combinations(range(1, rank + 1), d)) for d in shape]
     weights = _Weights()
-
-    def extend(prefix, tallies):
+    stack = [((), [len(shape) + 1] + [0] * rank)]
+    while stack:
+        prefix, tallies = stack.pop()
         if len(prefix) == len(alphabets):
             yield Gallery._unsafe(rank, prefix, weights[tuple(tallies[1:])])
-            return
-        for col in alphabets[len(prefix)]:
+            continue
+        for col in reversed(alphabets[len(prefix)]):
             grown = list(tallies)
             for a in col:
                 grown[a] += 1
             if all(grown[a - 1] >= grown[a] <= cap[a] for a in col):
-                yield from extend(prefix + (col,), grown)
-
-    yield from extend((), [len(shape) + 1] + [0] * rank)
+                stack.append((prefix + (col,), grown))
 
 
 def count_galleries(shape: Shape, rank: int) -> int:

@@ -34,7 +34,7 @@ from .graphs import (
     enumerate_ssyt,
     weyl_dimension,
 )
-from .operators import _move, _raise_to_source, _string
+from .operators import _move, _raise_to_source
 from .plactic import is_ssyt, normal_form
 
 
@@ -117,7 +117,7 @@ def verify_surjectivity(shape: Shape, rank: int) -> SurjectivityReport:
     misses: list[tuple[DominantWeight, Gallery]] = []
     checked = 0
     for entry in decompose(shape, rank).entries:
-        index, _, _ = _walk(entry.representatives[0], rank, _string)
+        index, _, _ = _walk(entry.representatives[0])
         underline = entry.lam.column_shape()
         hit = {t for t in map(normal_form, index) if t.shape == underline}
         dimension = weyl_dimension(entry.lam)

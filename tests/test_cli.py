@@ -545,6 +545,34 @@ class TestTooLarge:
         code, out, err = invoke(capsys, *argv)
         assert code == 1 and out == "" and json.loads(err)["error"] == "too-large"
 
+    def test_component_sized_without_insertion(self, capsys, monkeypatch):
+        # `component` learns lambda from the raised source, not a normal form.
+        def refuse(letters, rank):
+            raise AssertionError("a word was inserted")
+
+        monkeypatch.setattr(plactic, "_insert", refuse)
+        digest = hashlib.sha256()
+        for argv in [
+            ["--rank", "3", g] + fmt
+            for g in ("1,2|1", "3|2|1", "")
+            for fmt in ([], ["--format", "json"], ["--format", "dot"])
+        ] + [["--rank", "4", "2|1,3|4"], ["--rank", "2", "--format", "json", "2|1|2|2"],
+             ["--rank", "5", "--format", "dot", "5|2,4|1,3"]]:
+            code, out, _ = invoke(capsys, "component", *argv)
+            digest.update(f"{argv}\n{code}\n{out}\n".encode())
+        assert digest.hexdigest() == (
+            "acf3c9e76fb2e8839d41460ec5e9026e937a0c87ef0f484b3dc02be873174917"
+        )
+        for rank, gallery, message in [
+            ("3", "|".join(["1"] * 500), "125751 crystal vertices; the limit is 10000"),
+            ("2", "|".join(["2"] * 1000), "1001000 crystal cells; the limit is 1000000"),
+        ]:
+            code, out, err = invoke(capsys, "component", "--rank", rank, gallery)
+            assert (code, out) == (1, "")
+            assert json.loads(err) == {
+                "error": "too-large", "message": f"the request would enumerate {message}"
+            }
+
     def test_cell_limit(self, capsys):
         # One row of 999 boxes has 1,000 vertices: 999,000 cells fit, and
         # B(20,20) at rank 3 has 9,261 vertices of 60 boxes: 555,660 cells.

@@ -1,6 +1,7 @@
 """Crystal graphs: components, highest weights, B(lambda), decompositions."""
 
 import random
+import sys
 
 import pytest
 
@@ -266,6 +267,17 @@ class TestIsIsomorphic:
         with pytest.raises(NotConnected, match="not reached"):
             is_isomorphic(cycle, cycle)
 
+    def test_edges_are_followed_either_way(self):
+        # y and z are reached from the source s only against the edge
+        # (y, x, 2); h differs from g in the label of the edge from z to y alone.
+        s, x, y, z = (G(letter, 4) for letter in "1234")
+        g = CrystalGraph(4, {s, x, y, z}, {(s, x, 1), (y, x, 2), (y, z, 3), (z, y, 1)})
+        h = CrystalGraph(4, {s, x, y, z}, {(s, x, 1), (y, x, 2), (y, z, 3), (z, y, 2)})
+        identity = {v: v for v in (s, x, y, z)}
+        assert is_isomorphic(g, g) == (True, identity)
+        assert is_isomorphic(g, h) == (False, None)
+        assert is_isomorphic(h, h) == (True, identity)
+
     def test_sizes_are_compared_first(self):
         # A graph of another rank, size or edge count is not isomorphic, even
         # when it is not connected; the traversal oracle raises here instead.
@@ -379,6 +391,11 @@ class TestDecompose:
         for shape, rank in cases:
             expected = list(filter(is_dominant, galleries_of_shape(shape, rank)))
             assert list(dominant_galleries(shape, rank)) == expected, (shape, rank)
+
+    def test_dominant_galleries_of_a_deep_shape(self):
+        # More columns than Python's recursion limit: the search keeps its own stack.
+        n = sys.getrecursionlimit() + 100
+        assert next(dominant_galleries((1,) * n, 2)) == Gallery(2, ((1,),) * n)
 
     def test_matches_component_search(self):
         cases = [(shape, rank) for rank in (2, 3, 4) for shape in shapes_up_to(6, rank - 1)]

@@ -1,5 +1,7 @@
 """MV cycle labels, fibers, image weights, surjectivity."""
 
+import sys
+
 import pytest
 
 from gallery_crystals import mv
@@ -104,6 +106,13 @@ class TestFiber:
         monkeypatch.setattr(mv, "_raise_to_source", refuse)
         label = MVLabel(DominantWeight((0, 50)), G("|".join(["2,3"] * 50), 3))
         assert fiber(label, (1,)) == ()
+
+    def test_deep_shape(self):
+        # More columns than Python's recursion limit, and a one-gallery fiber.
+        n = sys.getrecursionlimit() + 100
+        lam = DominantWeight((n,))
+        top = canonical_dominant_gallery(lam)
+        assert fiber(MVLabel(lam, top), (1,) * n, 2) == (top,)
 
     def test_fiber_members_map_back(self):
         label = MVLabel(DominantWeight((1, 1)), G("1,2|1", 3))
