@@ -68,7 +68,9 @@ _set = object.__setattr__
 class _Value:
     """Immutable value: ``__init__`` checks its input, ``_unsafe`` trusts it, and
     `_freeze` sets the ``_fields`` and their hash, that of the field tuple,
-    once.  Equal values have the same class and fields."""
+    once.  ``_unsafe`` writes each slot through its descriptor's ``__set__``,
+    bound once at import; ``__setattr__`` refuses every write.  Equal
+    values have the same class and fields."""
 
     __slots__ = ("_hash",)
 
@@ -143,11 +145,11 @@ class Gallery(_Value):
     def _unsafe(cls, rank: int, columns: tuple[tuple[int, ...], ...], mu=None) -> "Gallery":
         # Fast path from already-validated columns, with their weight if known.
         obj = object.__new__(cls)
-        _set(obj, "rank", rank)
-        _set(obj, "columns", columns)
-        _set(obj, "_hash", hash((rank, columns)))
+        _set_rank(obj, rank)
+        _set_columns(obj, columns)
+        _set_hash(obj, hash((rank, columns)))
         if mu is not None:
-            _set(obj, "_weight", mu)
+            _set_weight(obj, mu)
         return obj
 
     @property
@@ -193,7 +195,7 @@ def weight(gallery: Gallery) -> "WeightVector":
             for a in col:
                 tallies[a] += 1
         mu = WeightVector._unsafe(tuple(tallies[1:]))
-        _set(gallery, "_weight", mu)
+        _set_weight(gallery, mu)
         return mu
 
 
@@ -230,7 +232,7 @@ def is_dominant(gallery: Gallery) -> bool:
 def _shift_to_zero(counts: tuple[int, ...]) -> tuple[int, ...]:
     """The canonical representative modulo the all-ones vector: minimum 0."""
     low = min(counts)
-    return tuple(c - low for c in counts) if low else counts
+    return tuple([c - low for c in counts]) if low else counts
 
 
 class WeightVector(_Value):
@@ -248,8 +250,8 @@ class WeightVector(_Value):
         # Fast path for internal construction from a tuple of at least two ints.
         obj = object.__new__(cls)
         counts = _shift_to_zero(counts)
-        _set(obj, "counts", counts)
-        _set(obj, "_hash", hash((counts,)))
+        _set_counts(obj, counts)
+        _set_hash(obj, hash((counts,)))
         return obj
 
     @property
@@ -269,6 +271,13 @@ class WeightVector(_Value):
             raise NotDominant(f"counts {self.counts} are not weakly decreasing")
         coeffs = tuple(self.counts[k] - self.counts[k + 1] for k in range(self.rank - 1))
         return DominantWeight(coeffs)
+
+
+# Slot writers: a slot descriptor's ``__set__`` stores without the lookup by
+# name of ``object.__setattr__`` and, as that does, bypasses ``__setattr__``.
+_set_hash, _set_counts = _Value._hash.__set__, WeightVector.counts.__set__
+_set_rank, _set_columns = Gallery.rank.__set__, Gallery.columns.__set__
+_set_weight = Gallery._weight.__set__
 
 
 class _Weights(dict):

@@ -33,7 +33,7 @@ from .galleries import (
     Gallery,
     Shape,
     WeightVector,
-    _set,
+    _set_weight,
     _Value,
     _Weights,
     validate_shape,
@@ -70,10 +70,13 @@ def _walk(source: Gallery) -> tuple[dict[Gallery, int], list, list]:
     """Breadth-first search from a source: for each vertex v in visiting order
     and each i = 1..rank-1 whose i-string through v is not yet listed,
     `_string` lists it top to bottom, each consecutive pair (u, w) an edge
-    (u, w, i).  Returns the visiting number of each vertex reached (a dict,
-    so that ``frozenset(index)`` reuses its stored hashes), the edges, and
-    for each later vertex a birth record (k, i, place, length): it was at
-    ``place`` on the i-string of ``length`` members listed from vertex k.
+    (u, w, i).  A string member already reached is replaced by the vertex
+    object listed first before the edges are recorded, so each vertex is one
+    object, which the edges share, and the duplicate is freed at once.
+    Returns the visiting number of each vertex reached (a dict, so that
+    ``frozenset(index)`` reuses its stored hashes), the edges, and for each
+    later vertex a birth record (k, i, place, length): it was at ``place`` on
+    the i-string of ``length`` members listed from vertex k.
     """
     index = {source: 0}
     order = [source]
@@ -85,7 +88,6 @@ def _walk(source: Gallery) -> tuple[dict[Gallery, int], list, list]:
             if listed[k] >> i & 1:
                 continue
             string = _string(v, i)
-            edges += zip(string, string[1:], repeat(i))
             for place, w in enumerate(string):
                 number = index.get(w)
                 if number is None:
@@ -95,6 +97,8 @@ def _walk(source: Gallery) -> tuple[dict[Gallery, int], list, list]:
                     births.append((k, i, place, len(string)))
                 else:
                     listed[number] |= 1 << i
+                    string[place] = order[number]
+            edges += zip(string, string[1:], repeat(i))
     return index, edges, births
 
 
@@ -105,7 +109,8 @@ def connected_component(gallery: Gallery) -> CrystalGraph:
     Each vertex gets its weight at birth from the vertex v that listed it:
     v sits at epsilon_i = (length - 1 - <wt v, alpha_i>) / 2 on the i-string,
     as phi_i + epsilon_i = length - 1 and phi_i - epsilon_i = <wt v, alpha_i>,
-    and each step up the string adds alpha_i.
+    and each step up the string adds alpha_i.  Each vertex is one object,
+    which its edges share.
     """
     source = highest_weight_vertex(gallery)
     index, edges, births = _walk(source)
@@ -116,7 +121,7 @@ def connected_component(gallery: Gallery) -> CrystalGraph:
         counts[i - 1] += up
         counts[i] -= up
         tallies.append(tuple(counts))
-        _set(w, "_weight", weights[tallies[-1]])
+        _set_weight(w, weights[tallies[-1]])
     return CrystalGraph(source.rank, frozenset(index), frozenset(edges))
 
 
@@ -216,21 +221,25 @@ def _dominant_galleries(shape: Shape, rank: int, cap: list[int]):
     # `dominant_galleries`, also dropping a prefix with more than cap[a] of a
     # letter a.  ``tallies[a]`` counts a, ``tallies[0]`` exceeds every count,
     # and ``tallies[1:]`` gives each gallery its weight at birth.  The stack
-    # holds the prefixes still to extend, the lexicographically least on top.
+    # holds the prefixes still to extend, the lexicographically least on top,
+    # each as (length, last column, tallies); ``path[1:]`` is the prefix popped
+    # last, so a prefix's columns before its last one are never copied.
     alphabets = [tuple(combinations(range(1, rank + 1), d)) for d in shape]
     weights = _Weights()
-    stack = [((), [len(shape) + 1] + [0] * rank)]
+    path: list = []
+    stack = [(0, None, [len(shape) + 1] + [0] * rank)]
     while stack:
-        prefix, tallies = stack.pop()
-        if len(prefix) == len(alphabets):
-            yield Gallery._unsafe(rank, prefix, weights[tuple(tallies[1:])])
+        length, last, tallies = stack.pop()
+        path[length:] = (last,)
+        if length == len(alphabets):
+            yield Gallery._unsafe(rank, tuple(path[1:]), weights[tuple(tallies[1:])])
             continue
-        for col in reversed(alphabets[len(prefix)]):
+        for col in reversed(alphabets[length]):
             grown = list(tallies)
             for a in col:
                 grown[a] += 1
             if all(grown[a - 1] >= grown[a] <= cap[a] for a in col):
-                stack.append((prefix + (col,), grown))
+                stack.append((length + 1, col, grown))
 
 
 def count_galleries(shape: Shape, rank: int) -> int:
@@ -311,34 +320,45 @@ def enumerate_ssyt(shape: Shape, rank: int) -> list[Gallery]:
     runs of equal letters, and the columns of height t + 1 are sliced out of
     rows 0..t with ``zip`` as soon as row t is chosen.
 
-    The order is lexicographic on the row-major entries.  Each tableau holds
-    its weight: the tally of letter v is the sum over the rows of
-    P_t(v) - P_t(v-1).  The crystal operators are not used, so the result
-    can check `highest_weight_crystal`.
+    A row's fillings depend only on t and the prefix counts of row t - 1, so
+    they are listed once per such pair and shared.  The order is
+    lexicographic on the row-major entries.  The last row's loop makes the
+    tableaux, each holding its weight: the tally of letter v is the sum over
+    the rows of P_t(v) - P_t(v-1), so equal weights have equal running sums
+    and one vector.  The crystal operators are not used, so the result can
+    check `highest_weight_crystal`.
     A non-monotone shape has no tableaux.
     """
     shape = validate_shape(shape, rank)
     if any(a > b for a, b in zip(shape, shape[1:])):
         return []
     heights = shape[::-1]  # display order, weakly decreasing
-    depth = heights[0] if heights else 0
+    depth = heights[0] if heights else 1  # the empty tableau: one empty row
     # lengths[t] is the length of display row t; zero below the last row.
     lengths = [sum(1 for d in heights if d > t) for t in range(depth + rank)]
     # Partial tableaux as (prefix counts of the last row, their sums over the
     # rows so far, the rows, reading-order columns of the finished bands).
     # Rows are stored in reading order, so row s covers the last lengths[s]
     # reading positions.  Row 0 has no row above; its caps are its own length.
+    # The last row's loop leaves the tableaux themselves.
     partial = [((lengths[0],) * (rank + 1), (0,) * (rank + 1), (), ())]
+    weights: dict[tuple[int, ...], WeightVector] = {}
     for t in range(depth):
         band = [(lengths[s] - lengths[t], lengths[s] - lengths[t + 1]) for s in range(t + 1)]
-        grown = []
+        grown, fillings = [], {}
         for above, sums, rows, columns in partial:
-            for prefix, row in _row_fillings(rank, lengths, t, above):
+            if above not in fillings:
+                fillings[above] = _row_fillings(rank, lengths, t, above)
+            for prefix, row in fillings[above]:
                 block = rows + (row,)
-                grown.append((prefix, tuple(map(add, sums, prefix)), block, columns + tuple(
-                    zip(*[r[a:b] for r, (a, b) in zip(block, band)])
-                )))
+                total = tuple(map(add, sums, prefix))
+                block_columns = columns + tuple(zip(*[r[a:b] for r, (a, b) in zip(block, band)]))
+                if t + 1 < depth:
+                    grown.append((prefix, total, block, block_columns))
+                    continue
+                mu = weights.get(total)
+                if mu is None:
+                    mu = weights[total] = WeightVector._unsafe(tuple(map(sub, total[1:], total)))
+                grown.append(Gallery._unsafe(rank, block_columns, mu))
         partial = grown
-    weights = _Weights()
-    return [Gallery._unsafe(rank, columns, weights[tuple(map(sub, sums[1:], sums))])
-            for _, sums, _, columns in partial]
+    return partial

@@ -143,6 +143,8 @@ VALUES = [
     (DominantWeight((2, 0)), lambda: WeightVector((3, 1, 1)).to_dominant_weight()),
     (highest_weight_crystal(DominantWeight((1, 1))), lambda: connected_component(G("1,3|1", 3))),
     (weighed(Gallery(3, ((1, 3), (2,)))), lambda: Gallery(3, ((1, 3), (2,)))),
+    (Gallery._unsafe(3, ((2,), (1, 3)), WeightVector((1, 1, 1))), lambda: G("1,3|2", 3)),
+    (WeightVector._unsafe((4, 2, 3)), lambda: WeightVector((2, 0, 1))),
 ]
 
 
@@ -173,8 +175,16 @@ class TestValueClasses:
     def test_repr_names_the_fields(self):
         assert repr(Gallery(3, ((1,),))) == "Gallery(rank=3, columns=((1,),))"
         assert repr(weighed(Gallery(3, ((1,),)))) == "Gallery(rank=3, columns=((1,),))"
+        held = Gallery._unsafe(3, ((1,),), WeightVector((1, 0, 0)))
+        assert repr(held) == "Gallery(rank=3, columns=((1,),))"
         assert repr(WeightVector((2, 1))) == "WeightVector(counts=(1, 0))"
         assert repr(DominantWeight((1, 0))) == "DominantWeight(coeffs=(1, 0))"
+
+    def test_held_weight_is_not_pickled(self):
+        held = Gallery._unsafe(3, ((1, 3), (2,)), WeightVector((1, 1, 1)))
+        assert held._weight == WeightVector((0, 0, 0))
+        assert not hasattr(pickle.loads(pickle.dumps(held)), "_weight")
+        assert not hasattr(copy.copy(held), "_weight")
 
     def test_never_equal_to_other_types(self):
         g = Gallery(3, ((1,), (2,)))

@@ -2,6 +2,7 @@
 
 import random
 import sys
+import tracemalloc
 
 import pytest
 
@@ -28,7 +29,7 @@ from gallery_crystals import (
     weyl_dimension,
     word,
 )
-from gallery_crystals import operators
+from gallery_crystals import graphs, operators
 from gallery_crystals.graphs import CrystalGraph
 from _support import (
     G,
@@ -222,6 +223,27 @@ class TestScans:
         assert scans == [1, 2, 3, 2, 1, 1, 2, 3]
 
 
+class TestOneObjectPerVertex:
+    """The walk keeps the first object of each vertex, and the edges share it."""
+
+    NOT_A_SOURCE = G("3|1,2|4|2|3|1", 4)
+
+    def test_start_is_not_a_source(self):
+        assert highest_weight_vertex(self.NOT_A_SOURCE) != self.NOT_A_SOURCE
+
+    @pytest.mark.parametrize("graph", [
+        highest_weight_crystal(DominantWeight((40,))),
+        highest_weight_crystal(DominantWeight((3, 2))),
+        highest_weight_crystal(DominantWeight((1, 1, 1))),
+        highest_weight_crystal(DominantWeight((1, 1, 0, 1))),
+        connected_component(NOT_A_SOURCE),
+    ], ids=["40", "3,2", "1,1,1", "1,1,0,1", "from-a-non-source"])
+    def test_edge_endpoints_are_the_vertices(self, graph):
+        ids = {id(v) for v in graph.vertices}
+        assert len(ids) == len(graph)
+        assert all(id(u) in ids and id(v) in ids for u, v, _ in graph.edges)
+
+
 class TestIsIsomorphic:
     def test_shape_versus_word_reading(self):
         comp = connected_component(G("1|1,2", 3))
@@ -397,6 +419,18 @@ class TestDecompose:
         n = sys.getrecursionlimit() + 100
         assert next(dominant_galleries((1,) * n, 2)) == Gallery(2, ((1,),) * n)
 
+    def test_dominant_galleries_share_their_prefix(self):
+        # A stacked prefix holds only its last column, so the first gallery
+        # of a long shape takes memory linear in its length.
+        tracemalloc.start()
+        try:
+            first = next(dominant_galleries((1,) * 2200, 2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert first == Gallery(2, ((1,),) * 2200)
+        assert peak < 2_000_000
+
     def test_matches_component_search(self):
         cases = [(shape, rank) for rank in (2, 3, 4) for shape in shapes_up_to(6, rank - 1)]
         cases += [(shape, 5) for shape in shapes_up_to(5, 4)]
@@ -455,6 +489,24 @@ class TestEnumerateSsyt:
         crystal_weights = Counter(weight(v) for v in highest_weight_crystal(lam).vertices)
         tableau_weights = Counter(weight(t) for t in enumerate_ssyt(lam.column_shape(), 3))
         assert crystal_weights == tableau_weights
+
+    def test_row_fillings_made_once_per_row_state(self, monkeypatch):
+        # A row's fillings depend only on the row and the prefix counts of
+        # the row above, so one call lists each (t, above) once.
+        calls = []
+        row_fillings = graphs._row_fillings
+
+        def recorded(rank, lengths, t, above):
+            calls.append((t, above))
+            return row_fillings(rank, lengths, t, above)
+
+        monkeypatch.setattr(graphs, "_row_fillings", recorded)
+        for rank in (3, 4, 5):
+            for lam in weights_with_dimension_at_most(rank, 500):
+                calls.clear()
+                tableaux = enumerate_ssyt(lam.column_shape(), rank)
+                assert len(tableaux) == weyl_dimension(lam)
+                assert len(calls) == len(set(calls)), lam
 
     def test_all_galleries_of_shape_count(self):
         assert sum(1 for _ in galleries_of_shape((1, 2, 1), 4)) == 4 * 6 * 4
