@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
+from itertools import chain
 from operator import attrgetter
 
 from .errors import (
@@ -155,7 +156,7 @@ class Gallery(_Value):
     @property
     def shape(self) -> Shape:
         """Column lengths in reading order."""
-        return tuple(len(col) for col in self.columns)
+        return tuple(map(len, self.columns))
 
     def __str__(self) -> str:
         return format_gallery(self)
@@ -163,7 +164,7 @@ class Gallery(_Value):
 
 def word(gallery: Gallery) -> Word:
     """Concatenate the column entries, top to bottom, in reading order."""
-    return tuple(a for col in gallery.columns for a in col)
+    return tuple(chain.from_iterable(gallery.columns))
 
 
 def gallery_from_word(letters, rank: int) -> Gallery:

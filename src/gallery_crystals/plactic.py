@@ -16,10 +16,11 @@ columns of length at most n-1: Schensted row insertion of the word
 with the full columns of its tableau dropped.  A full column is 1..n, which
 by relation c is the empty word, and it sits leftmost because column
 lengths weakly decrease left to right; dropping it leaves a semistandard
-tableau, whose reading word inserts back to itself.  One public path,
-`rsk_insert`, checks its letters and rank and builds its tableau with the
-checking `Gallery` constructor.  The trusted internal path, `_insert`, takes
-ints in 1..n; `normal_form` gives it the word of a proper gallery.
+tableau, whose reading word inserts back to itself.  With letters in 1..n,
+the full columns are exactly those of height n.  One public path,
+`rsk_insert`, checks its letters and rank before inserting.  The trusted
+internal path, `_insert`, takes ints in 1..n; `normal_form` gives it the
+word of a proper gallery.
 `oracle_plactic_classes` is an independent brute-force rewriting oracle
 used to certify the normal form at test scale.
 """
@@ -28,9 +29,9 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import deque
-from itertools import product
+from itertools import product, zip_longest
 
-from .errors import RankMismatch
+from .errors import LetterOutOfRange, RankMismatch
 from .galleries import Gallery, Word, _check_rank, _plain_ints, word
 
 
@@ -52,8 +53,9 @@ def is_ssyt(gallery: Gallery) -> bool:
 
 
 def _insert(letters: Word, rank: int) -> Gallery:
-    # Schensted insertion, last to first, of int letters (proper output needs
-    # them in 1..rank).  zip(*rows) is the tallest band; 1..rank columns drop.
+    # Schensted insertion, last to first, of letters in 1..rank.  One
+    # zip_longest transposes the rows; a column's 0 padding is cut off, and
+    # with rank rows the first len(rows[-1]) columns are the full ones, 1..rank.
     rows: list[list[int]] = []
     for x in reversed(letters):
         for row in rows:
@@ -64,27 +66,28 @@ def _insert(letters: Word, rank: int) -> Gallery:
             x, row[k] = row[k], x
         else:
             rows.append([x])
-    full = tuple(range(1, rank + 1))
-    display: list[tuple[int, ...]] = []
-    while rows:
-        display += [col for col in zip(*rows) if col != full]
-        cut = len(rows[-1])
-        rows = [row[cut:] for row in rows if len(row) > cut]
-    return Gallery._unsafe(rank, tuple(reversed(display)))
+    display = [c if c[-1] else c[: c.index(0)] for c in zip_longest(*rows, fillvalue=0)]
+    if len(rows) == rank:
+        del display[: len(rows[-1])]
+    display.reverse()
+    return Gallery._unsafe(rank, tuple(display))
 
 
 def rsk_insert(letters, rank: int) -> Gallery:
     """Schensted row insertion of the letters, taken last to first, with the
     full columns 1..n of the insertion tableau dropped.
 
-    Only columns equal to 1..n are dropped, so a column of length n with a
-    letter out of range, such as ``(0, 1, 2)``, still raises
-    `LetterOutOfRange`.  A letter that is not an int, or is a bool, raises
-    `LetterNotInteger`.
+    Every letter is checked before any is inserted: the first one outside
+    1..n, such as the 0 of ``(0, 1, 2)`` or the 4 of ``(1, 2, 3, 4)`` at
+    rank 3, raises `LetterOutOfRange`.  A letter that is not an int, or is a
+    bool, raises `LetterNotInteger`.
     """
     letters = _plain_ints(letters)
     _check_rank(rank)
-    return Gallery(rank, _insert(letters, rank).columns)
+    for a in letters:
+        if not 1 <= a <= rank:
+            raise LetterOutOfRange(f"letter {a} not in 1..{rank}")
+    return _insert(letters, rank)
 
 
 def normal_form(gallery: Gallery) -> Gallery:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import re
+from bisect import bisect_right
 from collections import Counter, deque
 from itertools import chain
 
@@ -99,6 +100,29 @@ def spliced_crossing_sets(gamma: Gallery, delta: Gallery):
     eta = concat(gamma, concat(gallery_from_word(range(1, n + 1), n), delta))
     k = len(delta.columns)
     return eta, k, crossing_sets(eta)[k : k + n]
+
+
+def transposing_insert(letters, rank: int) -> Gallery:
+    """Reference for `normal_form` and `rsk_insert`: Schensted row insertion
+    of the letters, last to first, then the rows turned into columns one band
+    of equal-length rows at a time, every column equal to 1..rank dropped."""
+    rows: list[list[int]] = []
+    for x in reversed(letters):
+        for row in rows:
+            k = bisect_right(row, x)
+            if k == len(row):
+                row.append(x)
+                break
+            x, row[k] = row[k], x
+        else:
+            rows.append([x])
+    full = tuple(range(1, rank + 1))
+    display: list[tuple[int, ...]] = []
+    while rows:
+        display += [col for col in zip(*rows) if col != full]
+        cut = len(rows[-1])
+        rows = [row[cut:] for row in rows if len(row) > cut]
+    return Gallery._unsafe(rank, tuple(reversed(display)))
 
 
 def shapes_up_to(total: int, max_part: int):

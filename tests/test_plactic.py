@@ -1,6 +1,7 @@
 """Plactic normalization: SSYT predicate, insertion, oracle classes."""
 
 import random
+from bisect import bisect_right
 
 import pytest
 
@@ -17,10 +18,11 @@ from gallery_crystals import (
     is_ssyt,
     normal_form,
     oracle_plactic_classes,
+    plactic,
     rsk_insert,
     word,
 )
-from _support import G, gallery_universe
+from _support import G, gallery_universe, transposing_insert
 
 
 class TestIsSsyt:
@@ -66,11 +68,14 @@ class TestRskInsert:
         with pytest.raises(InvalidRank):
             rsk_insert((1, 2), 2.5)
 
-    @pytest.mark.parametrize("letters", [(0, 1, 2), (1, 2, 4), (4,)])
+    @pytest.mark.parametrize(
+        "letters", [(0, 1, 2), (1, 2, 4), (4,), (1, 2, 3, 4), (0, 1, 2, 3)]
+    )
     def test_letters_out_of_range_rejected(self, letters):
-        # (0, 1, 2) and (1, 2, 4) insert as one column of length n that is
-        # not 1..n: it is kept, and the gallery's letter check refuses it.
-        with pytest.raises(LetterOutOfRange):
+        # Letters are checked before insertion.  Inserted, (1, 2, 3, 4) and
+        # (0, 1, 2, 3) would make a column longer than the rank.
+        bad = next(a for a in letters if not 1 <= a <= 3)
+        with pytest.raises(LetterOutOfRange, match=f"letter {bad} "):
             rsk_insert(letters, 3)
 
     def test_word_is_plactic_stable(self):
@@ -145,6 +150,60 @@ def test_trusted_insertion_matches_checked_insertion():
         assert checked == nf and hash(checked) == hash(nf)
         dropped += len(word(nf)) < len(word(g))
     assert dropped > 100
+
+
+class TestMatchesTransposingInsert:
+    """`normal_form` and `rsk_insert` give the reference insertion's columns,
+    which it transposes one band of equal-length rows at a time."""
+
+    @staticmethod
+    def check(galleries):
+        count = 0
+        for g in galleries:
+            expected = transposing_insert(word(g), g.rank).columns
+            assert normal_form(g).columns == expected
+            assert rsk_insert(word(g), g.rank).columns == expected
+            count += 1
+        return count
+
+    @pytest.mark.parametrize("rank, boxes", [(2, 8), (3, 5), (4, 5)])
+    def test_gallery_universe(self, rank, boxes):
+        assert self.check(gallery_universe(rank, boxes)) > 100
+
+    def test_full_columns_interleaved(self):
+        assert self.check(seeded_galleries(seed=2011, count=400)) == 400
+
+    def test_long_galleries(self):
+        # Ranks 3-6 with 10-400 columns of random lengths.
+        rng = random.Random(2012)
+        galleries = []
+        for _ in range(300):
+            rank = rng.randint(3, 6)
+            galleries.append(Gallery(rank, tuple(
+                tuple(sorted(rng.sample(range(1, rank + 1), rng.randint(1, rank - 1))))
+                for _ in range(rng.randint(10, 400))
+            )))
+        assert self.check(galleries) == 300
+
+
+@pytest.mark.parametrize(
+    "gallery", [Gallery(3, ((1,),) * 3000), Gallery(4, ((1, 2),) * 3000)], ids=["1s", "12s"]
+)
+def test_insertion_searches_at_most_rank_rows_per_letter(monkeypatch, gallery):
+    # Row insertion visits at most rank rows per letter, so long words cost
+    # linear work; inserting into the columns as they grow would not.
+    calls = 0
+
+    def counting_bisect_right(row, x):
+        nonlocal calls
+        calls += 1
+        return bisect_right(row, x)
+
+    monkeypatch.setattr(plactic, "bisect_right", counting_bisect_right)
+    letters = len(word(gallery))
+    normal_form(gallery)
+    # Every letter but the first searches at least the first row.
+    assert letters - 1 <= calls <= gallery.rank * letters
 
 
 class TestEquivalent:
