@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import combinations, islice, product, repeat
 from math import comb
-from operator import add, sub
+from operator import add, getitem, sub
 
 from .errors import NotConnected
 from .galleries import (
@@ -317,8 +317,10 @@ def enumerate_ssyt(shape: Shape, rank: int) -> list[Gallery]:
     rank - (d - 1 - t), which bounds P_t(v) from below by the length of row
     t + rank - v.  Under these bounds every partial pattern completes, so
     the rows are listed without backtracking.  Each row is built from its
-    runs of equal letters, and the columns of height t + 1 are sliced out of
-    rows 0..t with ``zip`` as soon as row t is chosen.
+    runs of equal letters.  A partial tableau keeps the top t entries of
+    each column that row t covers, and row t extends such a column c by its
+    entry v to ``grow[c][v]``, from a table built per row: each column is
+    made once per call, and the tableaux share their columns.
 
     A row's fillings depend only on t and the prefix counts of row t - 1, so
     they are listed once per such pair and shared.  The order is
@@ -337,28 +339,31 @@ def enumerate_ssyt(shape: Shape, rank: int) -> list[Gallery]:
     # lengths[t] is the length of display row t; zero below the last row.
     lengths = [sum(1 for d in heights if d > t) for t in range(depth + rank)]
     # Partial tableaux as (prefix counts of the last row, their sums over the
-    # rows so far, the rows, reading-order columns of the finished bands).
-    # Rows are stored in reading order, so row s covers the last lengths[s]
-    # reading positions.  Row 0 has no row above; its caps are its own length.
+    # rows so far, the unfinished columns, the finished columns), both in
+    # reading order: row t covers the last lengths[t] reading positions.
+    # Row 0 has no row above; its caps are its own length.
     # The last row's loop leaves the tableaux themselves.
-    partial = [((lengths[0],) * (rank + 1), (0,) * (rank + 1), (), ())]
+    partial = [((lengths[0],) * (rank + 1), (0,) * (rank + 1), ((),) * lengths[0], ())]
     weights: dict[tuple[int, ...], WeightVector] = {}
     for t in range(depth):
-        band = [(lengths[s] - lengths[t], lengths[s] - lengths[t + 1]) for s in range(t + 1)]
+        finish = lengths[t] - lengths[t + 1]
+        # The columns row t extends are t-subsets of 1..rank - h + t, h the shortest (bound above).
+        top = rank + t - min(heights[:lengths[t]], default=rank)
+        grow = {c: [c + (v,) for v in range(rank + 1)] for c in combinations(range(1, top + 1), t)}
         grown, fillings = [], {}
-        for above, sums, rows, columns in partial:
+        for above, sums, unfinished, columns in partial:
             if above not in fillings:
                 fillings[above] = _row_fillings(rank, lengths, t, above)
+            nexts = list(map(grow.__getitem__, unfinished))
             for prefix, row in fillings[above]:
-                block = rows + (row,)
+                extended = tuple(map(getitem, nexts, row))
                 total = tuple(map(add, sums, prefix))
-                block_columns = columns + tuple(zip(*[r[a:b] for r, (a, b) in zip(block, band)]))
                 if t + 1 < depth:
-                    grown.append((prefix, total, block, block_columns))
+                    grown.append((prefix, total, extended[finish:], columns + extended[:finish]))
                     continue
                 mu = weights.get(total)
                 if mu is None:
                     mu = weights[total] = WeightVector._unsafe(tuple(map(sub, total[1:], total)))
-                grown.append(Gallery._unsafe(rank, block_columns, mu))
+                grown.append(Gallery._unsafe(rank, columns + extended, mu))
         partial = grown
     return partial

@@ -479,8 +479,32 @@ class TestEnumerateSsyt:
                 if all(a <= b for a, b in zip(shape, shape[1:]))
             ]
         cases += [((1,) * m, 2) for m in range(61)]
+        # Deeper shapes, whose lower bands extend many partials by many fillings.
+        cases += [((1, 2, 2, 3, 3), 4), ((1, 1, 2, 2, 3, 3), 4), ((1, 2, 3, 4), 5), ((2, 3, 3), 6)]
         for shape, rank in cases:
             assert enumerate_ssyt(shape, rank) == cellwise_ssyt(shape, rank), (shape, rank)
+
+    def test_each_column_made_once(self):
+        # Within one call, equal columns are one object.
+        for shape, rank in (((1,) * 50, 2), ((1, 1, 2, 2, 3, 3), 4), ((2, 3, 3), 6)):
+            columns = [c for t in enumerate_ssyt(shape, rank) for c in t.columns]
+            assert len({id(c) for c in columns}) == len(set(columns)), (shape, rank)
+        assert len({id(c) for t in enumerate_ssyt((1,) * 50, 2) for c in t.columns}) == 2
+
+    def test_column_table_holds_only_reachable_tops(self, monkeypatch):
+        # A column of height rank - 1 has rank tableaux: the column table of
+        # row t holds its t + 1 possible tops, not every t-subset of 1..rank.
+        drawn = []
+        draw = graphs.combinations
+
+        def recorded(pool, t):
+            tops = list(draw(pool, t))
+            drawn.extend(tops)
+            return tops
+
+        monkeypatch.setattr(graphs, "combinations", recorded)
+        assert enumerate_ssyt((12,), 13) == cellwise_ssyt((12,), 13)
+        assert len(drawn) == sum(t + 1 for t in range(12))
 
     def test_matches_crystal_weights(self):
         from collections import Counter
