@@ -8,10 +8,11 @@ vertex's weight.
 
 `connected_component` raises a gallery to that source and generates the
 component from it by `_walk`, a breadth-first search one i-string (one
-signature scan) at a time, and gives each vertex its weight from the vertex
-that listed it; `highest_weight_crystal` is the component of the dominant
-tableau.  `is_isomorphic` numbers each graph's vertices by a breadth-first
-search from its source along the stored edges, either way.
+signature scan, each column bumped once per walk) at a time, and gives each
+vertex its weight from the vertex that listed it; `highest_weight_crystal`
+is the component of the dominant tableau.  `is_isomorphic` numbers each
+graph's vertices by a breadth-first search from its source along the stored
+edges, either way.
 A gallery is a source exactly when its path stays in the dominant chamber,
 so `dominant_galleries` lists the sources of a shape crystal without
 visiting the rest of it, and `decompose` counts them by weight and searches
@@ -39,7 +40,7 @@ from .galleries import (
     validate_shape,
     weight,
 )
-from .operators import _raise_to_source, _string
+from .operators import _Bumps, _raise_to_source, _string, _survivors
 
 
 class CrystalGraph(_Value):
@@ -61,40 +62,46 @@ def highest_weight_vertex(gallery: Gallery) -> Gallery:
 
 
 def canonical_dominant_gallery(lam: DominantWeight) -> Gallery:
-    """The dominant tableau of shape underline(lambda): each column filled 1..d."""
-    columns = tuple(tuple(range(1, d + 1)) for d in lam.column_shape())
-    return Gallery(lam.rank, columns)
+    """The dominant tableau of shape underline(lambda): columns 1..d, one object per d."""
+    full = [tuple(range(1, d + 1)) for d in range(lam.rank)]
+    return Gallery(lam.rank, tuple(full[d] for d in lam.column_shape()))
 
 
 def _walk(source: Gallery) -> tuple[dict[Gallery, int], list, list]:
     """Breadth-first search from a source: for each vertex v in visiting order
     and each i = 1..rank-1 whose i-string through v is not yet listed,
-    `_string` lists it top to bottom, each consecutive pair (u, w) an edge
-    (u, w, i).  A string member already reached is replaced by the vertex
-    object listed first before the edges are recorded, so each vertex is one
-    object, which the edges share, and the duplicate is freed at once.
+    `_string` lists it top to bottom from one scan, each consecutive pair (u, w)
+    an edge (u, w, i), through the walk's tables, which make each column once.
+    A string member already reached, except v (number k), is replaced by the
+    vertex object listed first before the edges are recorded, so each vertex
+    is one object, which the edges share, and the duplicate is freed at once.
     Returns the visiting number of each vertex reached (a dict, so that
     ``frozenset(index)`` reuses its stored hashes), the edges, and for each
-    later vertex a birth record (k, i, place, length): it was at ``place`` on
-    the i-string of ``length`` members listed from vertex k.
+    later vertex a birth record (k, i, up): it is e_i^up (f_i^-up) of vertex k.
     """
+    rank, made = source.rank, dict(zip(source.columns, source.columns))
+    tables = [(_Bumps(i + 1, i, made), _Bumps(i, i + 1, made)) for i in range(rank)]
     index = {source: 0}
     order = [source]
     listed = [0]  # bit i of listed[k]: the i-string through order[k] is listed
-    edges = []
-    births = []
+    edges, births = [], []
     for k, v in enumerate(order):  # grows while iterated: breadth-first
-        for i in range(1, source.rank):
+        for i in range(1, rank):
             if listed[k] >> i & 1:
                 continue
-            string = _string(v, i)
+            plus, minus = _survivors(v, i)
+            if not (plus or minus):
+                continue
+            string = _string(v, plus, minus, *tables[i])
             for place, w in enumerate(string):
+                if w is v:
+                    continue
                 number = index.get(w)
                 if number is None:
                     index[w] = len(order)
                     order.append(w)
                     listed.append(1 << i)
-                    births.append((k, i, place, len(string)))
+                    births.append((k, i, len(minus) - place))
                 else:
                     listed[number] |= 1 << i
                     string[place] = order[number]
@@ -106,18 +113,14 @@ def connected_component(gallery: Gallery) -> CrystalGraph:
     """The component of the gallery: the walk from its unique source lists
     each i-string once, so B(lambda) takes (n-1)(|V|+1) - |E| signature
     scans, n-1 of them finding that its dominant tableau is the source.
-    Each vertex gets its weight at birth from the vertex v that listed it:
-    v sits at epsilon_i = (length - 1 - <wt v, alpha_i>) / 2 on the i-string,
-    as phi_i + epsilon_i = length - 1 and phi_i - epsilon_i = <wt v, alpha_i>,
-    and each step up the string adds alpha_i.  Each vertex is one object,
-    which its edges share.
+    Each vertex gets its weight at birth from the vertex that listed it, each
+    step up an i-string adding alpha_i, and is one object, which its edges share.
     """
     source = highest_weight_vertex(gallery)
     index, edges, births = _walk(source)
     tallies, weights = [weight(source).counts], _Weights()
-    for w, (k, i, place, length) in zip(islice(index, 1, None), births):
+    for w, (k, i, up) in zip(islice(index, 1, None), births):
         counts = list(tallies[k])
-        up = (length - 1 - counts[i - 1] + counts[i]) // 2 - place
         counts[i - 1] += up
         counts[i] -= up
         tallies.append(tuple(counts))

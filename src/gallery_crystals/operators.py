@@ -14,7 +14,8 @@ For f_i (e_i is the mirror image), the first surviving "+" was pushed on an
 empty stack and never popped; bumped to a "-", it meets that empty stack and
 survives, every later column is matched as before, and so the next "+" is first.
 So `_move` (one scan, one column copy) serves `e`, `f`, ``apply --times`` and
-`fiber`'s replay of the jumps by which `_raise_to_source` climbs whole strings.
+`fiber`'s replay of the jumps by which `_raise_to_source` climbs whole strings,
+and `_string` the crystal walk, whose `_Bumps` tables make each column once.
 """
 
 from __future__ import annotations
@@ -62,14 +63,16 @@ def _bump(col: tuple[int, ...], old: int, new: int) -> tuple[int, ...]:
     return col[:k] + (new,) + col[k + 1 :]
 
 
-def _bumped(gallery: Gallery, positions, old: int, new: int) -> list[Gallery]:
-    """The galleries reached by bumping ``old`` to ``new`` at each position in turn."""
-    columns = list(gallery.columns)
-    reached = []
-    for pos in positions:
-        columns[pos] = _bump(columns[pos], old, new)
-        reached.append(Gallery._unsafe(gallery.rank, tuple(columns)))
-    return reached
+class _Bumps(dict):
+    """Column -> the column with ``old`` bumped to ``new``; ``made`` keeps one object a value."""
+
+    def __init__(self, old: int, new: int, made: dict) -> None:
+        self.old, self.new, self.made = old, new, made
+
+    def __missing__(self, col: tuple[int, ...]) -> tuple[int, ...]:
+        bumped = _bump(col, self.old, self.new)
+        bumped = self[col] = self.made.setdefault(bumped, bumped)
+        return bumped
 
 
 def _jump(gallery: Gallery, positions, old: int, new: int) -> Gallery:
@@ -114,11 +117,20 @@ def e(gallery: Gallery, i: int) -> Gallery | None:
     return _move(gallery, i, -1)
 
 
-def _string(gallery: Gallery, i: int) -> list[Gallery]:
-    """The i-string through the gallery, top to bottom: e_i^epsilon ... f_i^phi."""
-    plus, minus = _survivors(gallery, i)
-    raised = _bumped(gallery, reversed(minus), i + 1, i)
-    return raised[::-1] + [gallery] + _bumped(gallery, plus, i, i + 1)
+def _string(gallery: Gallery, plus, minus, up: _Bumps, down: _Bumps) -> list[Gallery]:
+    """The i-string through the gallery, top to bottom, from its survivors for i."""
+    rank, cols, unsafe = gallery.rank, gallery.columns, Gallery._unsafe
+    columns, string = list(cols), []
+    for pos in minus:
+        columns[pos] = up[cols[pos]]
+    for pos in minus:
+        string.append(unsafe(rank, tuple(columns)))
+        columns[pos] = cols[pos]
+    string.append(gallery)
+    for pos in plus:
+        columns[pos] = down[cols[pos]]
+        string.append(unsafe(rank, tuple(columns)))
+    return string
 
 
 def epsilon(gallery: Gallery, i: int) -> int:

@@ -196,7 +196,9 @@ class TestScans:
             scans.append(i)
             return survivors(gallery, i)
 
+        # The raise scans in `operators`, the walk in `graphs`.
         monkeypatch.setattr(operators, "_survivors", counted)
+        monkeypatch.setattr(graphs, "_survivors", counted)
         for coeffs, expected in (((40,), 2), ((3, 2), 26), ((1, 1, 1), 93)):
             scans.clear()
             crystal = highest_weight_crystal(DominantWeight(coeffs))
@@ -242,6 +244,26 @@ class TestOneObjectPerVertex:
         ids = {id(v) for v in graph.vertices}
         assert len(ids) == len(graph)
         assert all(id(u) in ids and id(v) in ids for u, v, _ in graph.edges)
+
+
+class TestSharedColumns:
+    """The walk bumps each column once per direction, and the vertices share
+    the bumped columns: one column object per column value."""
+
+    @pytest.mark.parametrize("coeffs", [(3, 2), (1, 1, 1), (20, 20)])
+    def test_one_object_per_column(self, coeffs, monkeypatch):
+        bumps = []
+        bump = operators._bump
+
+        def counted(col, old, new):
+            bumps.append((col, old, new))
+            return bump(col, old, new)
+
+        monkeypatch.setattr(operators, "_bump", counted)
+        crystal = highest_weight_crystal(DominantWeight(coeffs))
+        columns = [col for v in crystal.vertices for col in v.columns]
+        assert len({id(col) for col in columns}) == len(set(columns))
+        assert bumps and len(bumps) == len(set(bumps))
 
 
 class TestIsIsomorphic:

@@ -20,7 +20,7 @@ from gallery_crystals import (
     word,
 )
 from gallery_crystals.affine import random_gallery
-from gallery_crystals.operators import _move, _raise_to_source, _string
+from gallery_crystals.operators import _Bumps, _move, _raise_to_source, _string, _survivors
 from _support import (
     G,
     gallery_universe,
@@ -171,7 +171,7 @@ class TestString:
                     chain.insert(0, raised)
                 while (lowered := f(chain[-1], i)) is not None:
                     chain.append(lowered)
-                string = _string(g, i)
+                string = _string(g, *_survivors(g, i), _Bumps(i + 1, i, {}), _Bumps(i, i + 1, {}))
                 assert string == chain
                 assert len(string) == epsilon(g, i) + phi(g, i) + 1
 
