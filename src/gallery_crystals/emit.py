@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 
 from .errors import SvgRankUnsupported
 from .affine import crossing_sets
@@ -25,10 +26,12 @@ from .mv import MVLabel
 
 def graph_document(graph: CrystalGraph) -> dict:
     """The graph in canonical order.  Vertices are sorted lexicographically
-    on (shape, columns in reading order) and numbered from 0; edges are
-    sorted by source number, then by i, which never ties since f_i(u) is
-    unique."""
-    vertices = sorted(graph.vertices, key=lambda g: (g.shape, g.columns))
+    on (shape, columns in reading order) by two sorts, by columns and then
+    stably by shape, so that one component's vertices, which share a shape,
+    compare only their columns; they are numbered from 0.  Edges are sorted
+    by source number, then by i, which never ties since f_i(u) is unique."""
+    vertices = sorted(graph.vertices, key=attrgetter("columns"))
+    vertices.sort(key=attrgetter("shape"))
     index = {g: k for k, g in enumerate(vertices)}
     edges = sorted((index[u], i, index[v]) for u, v, i in graph.edges)
     return {

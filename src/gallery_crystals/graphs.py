@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from itertools import combinations, islice, product, repeat
-from math import comb
+from math import comb, prod
 from operator import add, getitem, sub
 
 from .errors import NotConnected
@@ -189,13 +189,9 @@ def weyl_dimension(lam: DominantWeight) -> int:
     canonical counts; used as an external oracle for crystal sizes.
     """
     counts = lam.to_weight_vector().counts
-    n = len(counts)
-    numerator = 1
-    denominator = 1
-    for i in range(n):
-        for j in range(i + 1, n):
-            numerator *= counts[i] - counts[j] + j - i
-            denominator *= j - i
+    pairs = list(combinations(range(len(counts)), 2))
+    numerator = prod(counts[i] - counts[j] + j - i for i, j in pairs)
+    denominator = prod(j - i for i, j in pairs)
     assert numerator % denominator == 0
     return numerator // denominator
 
@@ -247,10 +243,7 @@ def _dominant_galleries(shape: Shape, rank: int, cap: list[int]):
 
 def count_galleries(shape: Shape, rank: int) -> int:
     shape = validate_shape(shape, rank)
-    total = 1
-    for d in shape:
-        total *= comb(rank, d)
-    return total
+    return prod(comb(rank, d) for d in shape)
 
 
 DecompositionEntry = namedtuple("DecompositionEntry", "lam multiplicity representatives")
@@ -286,28 +279,29 @@ def decompose(shape: Shape, rank: int) -> Decomposition:
 
 
 def _row_fillings(
-    rank: int, lengths: list[int], t: int, above: tuple[int, ...]
-) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    rank: int, lengths: list[int], t: int, above: tuple[int, ...], letters
+) -> list[tuple[tuple[int, ...], tuple]]:
     """Fillings of display row t below a row with prefix counts ``above``.
 
     Returns (prefix counts P(0..rank), entries in reading order) pairs,
     lexicographic in the row's display entries: P(v) counts the entries
-    <= v and is tried from its largest value down, letter by letter.
+    <= v and is tried from its largest value down, letter by letter.  The
+    entry v is written as ``letters[v]``, each run of it by one tuple
+    repetition: the letter itself, or for row 0 its shared one-box column.
     """
     length = lengths[t]
-    partial: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((0,), ())]
+    partial: list[tuple[tuple[int, ...], tuple]] = [((0,), ())]
     for v in range(1, rank):
         cap = min(length, above[v - 1])
         floor = lengths[t + rank - v]
+        run = (letters[v],)
         partial = [
-            (prefix + (q,), (v,) * (q - prefix[-1]) + row)
+            (prefix + (q,), run * (q - prefix[-1]) + row)
             for prefix, row in partial
             for q in range(cap, max(prefix[-1], floor) - 1, -1)
         ]
-    return [
-        (prefix + (length,), (rank,) * (length - prefix[-1]) + row)
-        for prefix, row in partial
-    ]
+    run = (letters[rank],)
+    return [(prefix + (length,), run * (length - prefix[-1]) + row) for prefix, row in partial]
 
 
 def enumerate_ssyt(shape: Shape, rank: int) -> list[Gallery]:
@@ -323,7 +317,9 @@ def enumerate_ssyt(shape: Shape, rank: int) -> list[Gallery]:
     runs of equal letters.  A partial tableau keeps the top t entries of
     each column that row t covers, and row t extends such a column c by its
     entry v to ``grow[c][v]``, from a table built per row: each column is
-    made once per call, and the tableaux share their columns.
+    made once per call, and the tableaux share their columns.  Row 0 writes
+    its entries as the shared one-box columns ``grow[()][v]`` themselves, so
+    each of its fillings is already its columns and needs no lookup.
 
     A row's fillings depend only on t and the prefix counts of row t - 1, so
     they are listed once per such pair and shared.  The order is
@@ -353,13 +349,14 @@ def enumerate_ssyt(shape: Shape, rank: int) -> list[Gallery]:
         # The columns row t extends are t-subsets of 1..rank - h + t, h the shortest (bound above).
         top = rank + t - min(heights[:lengths[t]], default=rank)
         grow = {c: [c + (v,) for v in range(rank + 1)] for c in combinations(range(1, top + 1), t)}
+        letters = range(rank + 1) if t else grow[()]
         grown, fillings = [], {}
         for above, sums, unfinished, columns in partial:
             if above not in fillings:
-                fillings[above] = _row_fillings(rank, lengths, t, above)
+                fillings[above] = _row_fillings(rank, lengths, t, above, letters)
             nexts = list(map(grow.__getitem__, unfinished))
             for prefix, row in fillings[above]:
-                extended = tuple(map(getitem, nexts, row))
+                extended = tuple(map(getitem, nexts, row)) if t else row
                 total = tuple(map(add, sums, prefix))
                 if t + 1 < depth:
                     grown.append((prefix, total, extended[finish:], columns + extended[:finish]))

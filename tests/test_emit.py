@@ -8,7 +8,9 @@ import pytest
 
 from gallery_crystals import cli
 from gallery_crystals.cli import run
-from gallery_crystals.emit import json_lines
+from gallery_crystals.emit import graph_document, json_lines
+from gallery_crystals.galleries import format_gallery, parse_gallery
+from gallery_crystals.graphs import CrystalGraph, connected_component
 
 from test_cli import GOLDEN_REQUESTS
 
@@ -55,6 +57,24 @@ def test_golden_documents_match_json_dumps(argv):
     args = cli.build_parser().parse_args(argv)
     document = args.row.compute(args)
     assert json_lines(document) == [json.dumps(document, indent=2)]
+
+
+def test_graph_document_orders_mixed_shapes_by_shape_then_columns():
+    # Two components of different shapes whose columns interleave: ordered by
+    # columns alone, the one-box columns (1,) < (1, 2) < (2,) would mix them.
+    parts = [connected_component(parse_gallery(text, 3)) for text in ("1|2", "1,2", "2|1,3")]
+    vertices = frozenset().union(*(part.vertices for part in parts))
+    graph = CrystalGraph(3, vertices, frozenset().union(*(part.edges for part in parts)))
+    assert len({v.shape for v in graph.vertices}) == 3
+    expected = sorted(graph.vertices, key=lambda g: (g.shape, g.columns))
+    assert expected != sorted(graph.vertices, key=lambda g: g.columns)
+    document = graph_document(graph)
+    assert document["vertices"] == [format_gallery(g) for g in expected]
+    index = {g: k for k, g in enumerate(expected)}
+    assert document["edges"] == [
+        {"from": u, "to": v, "i": i}
+        for u, i, v in sorted((index[u], i, index[v]) for u, v, i in graph.edges)
+    ]
 
 
 @pytest.mark.parametrize("document", [{1, 2}, {"a": [frozenset()]}, {1: "a"}, [{"a": {None: 0}}]])

@@ -528,6 +528,22 @@ class TestEnumerateSsyt:
         assert enumerate_ssyt((12,), 13) == cellwise_ssyt((12,), 13)
         assert len(drawn) == sum(t + 1 for t in range(12))
 
+    def test_top_row_needs_no_column_lookup(self, monkeypatch):
+        # Row 0's fillings are written as the shared one-box columns, so only
+        # the lower rows look their columns up: a one-row shape looks up none.
+        lookups = []
+        getitem = graphs.getitem
+
+        def counted(columns, v):
+            lookups.append(v)
+            return getitem(columns, v)
+
+        monkeypatch.setattr(graphs, "getitem", counted)
+        assert enumerate_ssyt((1,) * 60, 2) == cellwise_ssyt((1,) * 60, 2)
+        assert lookups == []
+        assert enumerate_ssyt((1, 1, 2, 2), 3) == cellwise_ssyt((1, 1, 2, 2), 3)
+        assert len(lookups) == 54
+
     def test_matches_crystal_weights(self):
         from collections import Counter
 
@@ -542,9 +558,9 @@ class TestEnumerateSsyt:
         calls = []
         row_fillings = graphs._row_fillings
 
-        def recorded(rank, lengths, t, above):
+        def recorded(rank, lengths, t, above, letters):
             calls.append((t, above))
-            return row_fillings(rank, lengths, t, above)
+            return row_fillings(rank, lengths, t, above, letters)
 
         monkeypatch.setattr(graphs, "_row_fillings", recorded)
         for rank in (3, 4, 5):
