@@ -11,7 +11,6 @@ along gallery paths.
 from types import ModuleType as _ModuleType
 
 from .errors import (
-    BrokenColumn,
     ColumnTooLong,
     GalleryError,
     IndexOutOfRange,

@@ -223,10 +223,10 @@ def _appendix_check(args) -> dict:
     document = {"disjoint": disjoint.ok, "stabilizer": stabilizer.ok}
     if not disjoint.ok:
         i, j, root = disjoint.witness
-        document["disjoint_witness"] = {"segments": [i, j], "root": _root(root)}
+        document["disjoint_witness"] = {"segments": [i, j], "root": emit.root_document(root)}
     if not stabilizer.ok:
         k, root = stabilizer.witness
-        document["stabilizer_witness"] = {"segment": k, "root": _root(root)}
+        document["stabilizer_witness"] = {"segment": k, "root": emit.root_document(root)}
     if args.seed is not None:
         rng = random.Random(args.seed)
         failures = 0
@@ -238,10 +238,6 @@ def _appendix_check(args) -> dict:
         document["random_cases"] = cases
         document["random_failures"] = failures
     return document
-
-
-def _root(root) -> dict:
-    return {"a": root.a, "b": root.b, "m": root.level}
 
 
 def _csv(values) -> str:

@@ -109,11 +109,15 @@ def decomposition_document(decomposition: Decomposition) -> dict:
     }
 
 
+def root_document(root) -> dict:
+    return {"a": root.a, "b": root.b, "m": root.level}
+
+
 def crossings_document(gallery: Gallery) -> list:
     return [
         {
             "segment": k,
-            "roots": [{"a": r.a, "b": r.b, "m": r.level} for r in segment],
+            "roots": list(map(root_document, segment)),
         }
         for k, segment in enumerate(crossing_sets(gallery))
     ]

@@ -51,16 +51,6 @@ class NotConnected(GalleryError):
     code = "not-connected"
 
 
-class BrokenColumn(GalleryError):
-    """Internal assertion: a root operator produced a non-increasing column.
-
-    The tagging rules guarantee the targeted column lacks the replacement
-    letter, so this is unreachable unless the implementation is wrong.
-    """
-
-    code = "broken-column"
-
-
 class InvalidLabel(GalleryError):
     code = "invalid-label"
 

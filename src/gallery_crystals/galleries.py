@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 from itertools import chain
-from operator import attrgetter
+from operator import attrgetter, ge
 
 from .errors import (
     ColumnTooLong,
@@ -56,6 +56,12 @@ def _plain_ints(values, error=LetterNotInteger, what="letter") -> tuple[int, ...
 def _check_rank(rank) -> None:
     if not isinstance(rank, int) or rank < 2:
         raise InvalidRank(f"rank must be an integer >= 2, got {rank!r}")
+
+
+def _check_letters(letters, rank: int) -> None:
+    for a in letters:
+        if not 1 <= a <= rank:
+            raise LetterOutOfRange(f"letter {a} not in 1..{rank}")
 
 
 def _check_index(i: int, rank: int) -> None:
@@ -130,9 +136,7 @@ class Gallery(_Value):
                 raise ShapeInvalid("empty column in gallery")
             if len(col) > rank:
                 raise ColumnTooLong(f"column {col} longer than rank {rank}")
-            for a in col:
-                if not 1 <= a <= rank:
-                    raise LetterOutOfRange(f"letter {a} not in 1..{rank}")
+            _check_letters(col, rank)
             if any(x >= y for x, y in zip(col, col[1:])):
                 raise NonIncreasingColumn(f"column {col} is not strictly increasing")
         for col in cols:
@@ -200,19 +204,28 @@ def weight(gallery: Gallery) -> "WeightVector":
         return mu
 
 
+def _path(gallery: Gallery):
+    # The path's vertices, the origin first, as one tally list updated in place.
+    cur = [0] * gallery.rank
+    yield cur
+    for col in gallery.columns:
+        for a in col:
+            cur[a - 1] += 1
+        yield cur
+
+
+def _descending(counts) -> bool:
+    """The dominance rule: weakly decreasing coordinates."""
+    return all(map(ge, counts, counts[1:]))
+
+
 def path_vertices(gallery: Gallery) -> tuple[LatticePoint, ...]:
     """Lattice points visited by the gallery's path, starting at the origin.
 
     The vertices are raw partial sums in Z^n, not canonicalized, because
     affine level computations depend on this specific lift.
     """
-    cur = [0] * gallery.rank
-    out = [tuple(cur)]
-    for col in gallery.columns:
-        for a in col:
-            cur[a - 1] += 1
-        out.append(tuple(cur))
-    return tuple(out)
+    return tuple(map(tuple, _path(gallery)))
 
 
 def is_dominant(gallery: Gallery) -> bool:
@@ -221,13 +234,7 @@ def is_dominant(gallery: Gallery) -> bool:
     Checked on path vertices only: each vertex must have weakly decreasing
     coordinates.  Segment containment follows because the chamber is convex.
     """
-    cur = [0] * gallery.rank
-    for col in gallery.columns:
-        for a in col:
-            cur[a - 1] += 1
-        if any(cur[k] < cur[k + 1] for k in range(gallery.rank - 1)):
-            return False
-    return True
+    return all(map(_descending, _path(gallery)))
 
 
 def _shift_to_zero(counts: tuple[int, ...]) -> tuple[int, ...]:
@@ -265,7 +272,7 @@ class WeightVector(_Value):
         return self.counts[i - 1] - self.counts[i]
 
     def is_dominant(self) -> bool:
-        return all(a >= b for a, b in zip(self.counts, self.counts[1:]))
+        return _descending(self.counts)
 
     def to_dominant_weight(self) -> "DominantWeight":
         if not self.is_dominant():
@@ -398,7 +405,5 @@ def parse_word(text: str, rank: int) -> Word:
         letters = tuple(int(ch) for ch in tokens[0])
     else:
         letters = tuple(int(tok) for tok in tokens)
-    for a in letters:
-        if not 1 <= a <= rank:
-            raise LetterOutOfRange(f"letter {a} not in 1..{rank}")
+    _check_letters(letters, rank)
     return letters

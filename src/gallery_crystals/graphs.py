@@ -26,7 +26,7 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import combinations, islice, product, repeat
 from math import comb, prod
-from operator import add, getitem, sub
+from operator import add, getitem, le, sub
 
 from .errors import NotConnected
 from .galleries import (
@@ -37,6 +37,7 @@ from .galleries import (
     _set_weight,
     _Value,
     _Weights,
+    _descending,
     validate_shape,
     weight,
 )
@@ -213,31 +214,31 @@ def dominant_galleries(shape: Shape, rank: int):
     its own stack, so a shape of any length is searched, lazily.
     """
     shape = validate_shape(shape, rank)
-    yield from _dominant_galleries(shape, rank, [len(shape)] * (rank + 1))
+    yield from _dominant_galleries(shape, rank, [len(shape)] * rank)
 
 
 def _dominant_galleries(shape: Shape, rank: int, cap: list[int]):
-    # `dominant_galleries`, also dropping a prefix with more than cap[a] of a
-    # letter a.  ``tallies[a]`` counts a, ``tallies[0]`` exceeds every count,
-    # and ``tallies[1:]`` gives each gallery its weight at birth.  The stack
-    # holds the prefixes still to extend, the lexicographically least on top,
-    # each as (length, last column, tallies); ``path[1:]`` is the prefix popped
-    # last, so a prefix's columns before its last one are never copied.
+    # `dominant_galleries`, also dropping a prefix with more than cap[a - 1]
+    # of a letter a.  ``tallies[a - 1]`` counts a and gives each gallery its
+    # weight at birth.  The stack holds the prefixes still to extend, the
+    # lexicographically least on top, each as (length, last column, tallies);
+    # ``path[1:]`` is the prefix popped last, so a prefix's columns before its
+    # last one are never copied.
     alphabets = [tuple(combinations(range(1, rank + 1), d)) for d in shape]
     weights = _Weights()
     path: list = []
-    stack = [(0, None, [len(shape) + 1] + [0] * rank)]
+    stack = [(0, None, [0] * rank)]
     while stack:
         length, last, tallies = stack.pop()
         path[length:] = (last,)
         if length == len(alphabets):
-            yield Gallery._unsafe(rank, tuple(path[1:]), weights[tuple(tallies[1:])])
+            yield Gallery._unsafe(rank, tuple(path[1:]), weights[tuple(tallies)])
             continue
         for col in reversed(alphabets[length]):
             grown = list(tallies)
             for a in col:
-                grown[a] += 1
-            if all(grown[a - 1] >= grown[a] <= cap[a] for a in col):
+                grown[a - 1] += 1
+            if _descending(grown) and all(map(le, grown, cap)):
                 stack.append((length + 1, col, grown))
 
 

@@ -16,6 +16,7 @@ brute-force versions over the whole shape are test oracles.
 from __future__ import annotations
 
 from collections import namedtuple
+from operator import attrgetter
 
 from .errors import InvalidLabel, RankMismatch
 from .galleries import (
@@ -74,8 +75,8 @@ def fiber(label: MVLabel, shape: Shape, rank: int | None = None) -> tuple[Galler
     one fiber member: the jumps e_i^k raising the tableau to the top of
     B(lambda), replayed in reverse as moves f_i^k, take the top to it.  With no
     such top the fiber is empty and the tableau is not raised; otherwise it
-    has at most the shape's boxes.  Sorted by (shape, columns).  A ``rank``
-    other than the tableau's raises `RankMismatch`.
+    has at most the shape's boxes.  Sorted by columns, since f-moves keep the
+    shape.  A ``rank`` other than the tableau's raises `RankMismatch`.
     """
     n = label.tableau.rank if rank is None else rank
     if n != label.tableau.rank:
@@ -84,14 +85,14 @@ def fiber(label: MVLabel, shape: Shape, rank: int | None = None) -> tuple[Galler
     # The tops' letter tallies: lambda's counts, lifted to the shape's boxes.
     counts = label.lam.to_weight_vector().counts
     lift, rest = divmod(sum(shape) - sum(counts), n)
-    cap = [0] + [c + lift for c in counts]
+    cap = [c + lift for c in counts]
     tops = [] if rest or lift < 0 else list(_dominant_galleries(shape, n, cap))
     if not tops:
         return ()
     _, jumps = _raise_to_source(label.tableau)
     for i, k in reversed(jumps):
         tops = [_move(top, i, k) for top in tops]
-    return tuple(sorted(tops, key=lambda g: (g.shape, g.columns)))
+    return tuple(sorted(tops, key=attrgetter("columns")))
 
 
 def image_weights(shape: Shape, rank: int) -> dict[DominantWeight, int]:

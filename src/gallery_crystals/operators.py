@@ -15,12 +15,11 @@ empty stack and never popped; bumped to a "-", it meets that empty stack and
 survives, every later column is matched as before, and so the next "+" is first.
 So `_move` (one scan, one column copy) serves `e`, `f`, ``apply --times`` and
 `fiber`'s replay of the jumps by which `_raise_to_source` climbs whole strings,
-and `_string` the crystal walk, whose `_Bumps` tables make each column once.
+and `_string` the crystal walk; all three bump through `_Bumps` tables.
 """
 
 from __future__ import annotations
 
-from .errors import BrokenColumn
 from .galleries import Gallery, _check_index
 
 
@@ -56,10 +55,8 @@ def _survivors(gallery: Gallery, i: int) -> tuple[list[int], list[int]]:
 
 
 def _bump(col: tuple[int, ...], old: int, new: int) -> tuple[int, ...]:
+    # A tagged column holds exactly one of i and i+1, so the bumped one still increases.
     k = col.index(old)
-    # Unreachable: a tagged column holds exactly one of i and i+1, so one moves.
-    if (k and col[k - 1] >= new) or (k + 1 < len(col) and col[k + 1] <= new):
-        raise BrokenColumn(f"replacing {old} by {new} in column {col} broke strict increase")
     return col[:k] + (new,) + col[k + 1 :]
 
 
@@ -75,10 +72,10 @@ class _Bumps(dict):
         return bumped
 
 
-def _jump(gallery: Gallery, positions, old: int, new: int) -> Gallery:
+def _jump(gallery: Gallery, positions, bumps: _Bumps) -> Gallery:
     columns = list(gallery.columns)
     for pos in positions:
-        columns[pos] = _bump(columns[pos], old, new)
+        columns[pos] = bumps[columns[pos]]
     return Gallery._unsafe(gallery.rank, tuple(columns))
 
 
@@ -89,7 +86,9 @@ def _move(gallery: Gallery, i: int, k: int) -> Gallery | None:
     plus, minus = _survivors(gallery, i)
     if not -len(minus) <= k <= len(plus):
         return None
-    return _jump(gallery, plus[:k], i, i + 1) if k >= 0 else _jump(gallery, minus[k:], i + 1, i)
+    if k >= 0:
+        return _jump(gallery, plus[:k], _Bumps(i, i + 1, {}))
+    return _jump(gallery, minus[k:], _Bumps(i + 1, i, {}))
 
 
 def _raise_to_source(gallery: Gallery) -> tuple[Gallery, list[tuple[int, int]]]:
@@ -97,11 +96,11 @@ def _raise_to_source(gallery: Gallery) -> tuple[Gallery, list[tuple[int, int]]]:
     it, smallest index first, one scan per index tried: a jump on i moves only
     letters i and i+1, so i-1 is the one smaller index that can apply again.
     The source does not depend on the order; a randomized property test checks it."""
-    jumps, i = [], 1
+    jumps, i, made = [], 1, {}
     while i < gallery.rank:
         _, minus = _survivors(gallery, i)
         if minus:
-            gallery = _jump(gallery, minus, i + 1, i)
+            gallery = _jump(gallery, minus, _Bumps(i + 1, i, made))
             jumps.append((i, len(minus)))
         i = max(i - 1, 1) if minus else i + 1
     return gallery, jumps

@@ -31,8 +31,8 @@ from bisect import bisect_right
 from collections import deque
 from itertools import product, zip_longest
 
-from .errors import LetterOutOfRange, RankMismatch
-from .galleries import Gallery, Word, _check_rank, _plain_ints, word
+from .errors import RankMismatch
+from .galleries import Gallery, Word, _check_letters, _check_rank, _plain_ints, word
 
 
 def is_ssyt(gallery: Gallery) -> bool:
@@ -84,9 +84,7 @@ def rsk_insert(letters, rank: int) -> Gallery:
     """
     letters = _plain_ints(letters)
     _check_rank(rank)
-    for a in letters:
-        if not 1 <= a <= rank:
-            raise LetterOutOfRange(f"letter {a} not in 1..{rank}")
+    _check_letters(letters, rank)
     return _insert(letters, rank)
 
 

@@ -19,6 +19,7 @@ from gallery_crystals import (
     weight,
     word,
 )
+from gallery_crystals import operators
 from gallery_crystals.affine import random_gallery
 from gallery_crystals.operators import _Bumps, _move, _raise_to_source, _string, _survivors
 from _support import (
@@ -220,6 +221,28 @@ class TestMoves:
     def test_long_string_is_one_jump_per_index(self):
         g = Gallery(3, ((2, 3),) * 3000)
         assert _raise_to_source(g) == (Gallery(3, ((1, 2),) * 3000), [(1, 3000), (2, 3000)])
+
+    @pytest.mark.parametrize(
+        "moved, bumped",
+        [(lambda: _raise_to_source(Gallery(3, ((2, 3),) * 3000))[0],
+          [((2, 3), 2, 1), ((1, 3), 3, 2)]),
+         (lambda: _move(Gallery(3, ((1,),) * 3000), 1, 3000), [((1,), 1, 2)])],
+        ids=["raise", "move"],
+    )
+    def test_each_column_bumped_once_per_jump(self, moved, bumped, monkeypatch):
+        # Each jump moves 3,000 equal columns: one bump a jump, and the moved
+        # gallery holds one column object.
+        bumps = []
+        bump = operators._bump
+
+        def counted(col, old, new):
+            bumps.append((col, old, new))
+            return bump(col, old, new)
+
+        monkeypatch.setattr(operators, "_bump", counted)
+        columns = moved().columns
+        assert bumps == bumped
+        assert len({id(col) for col in columns}) == 1
 
 
 class TestCrystalAxiomsSmall:

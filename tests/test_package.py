@@ -62,6 +62,14 @@ def test_names_for_tests_only_are_gone(name):
     assert not hasattr(gallery_crystals.galleries, name)
 
 
+@pytest.mark.parametrize("name", ["BrokenColumn"])
+def test_unreachable_errors_are_gone(name):
+    # A bumped column holds exactly one of i and i+1, so it always strictly
+    # increases and no operator can raise this error.
+    assert not hasattr(gallery_crystals, name)
+    assert not hasattr(gallery_crystals.errors, name)
+
+
 @pytest.mark.parametrize("owner, method", [("WeightVector", "__add__"), ("Gallery", "__len__")])
 def test_unused_methods_are_gone(owner, method):
     # Nothing called them: weights are added through their counts, and a

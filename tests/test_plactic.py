@@ -1,6 +1,7 @@
 """Plactic normalization: SSYT predicate, insertion, oracle classes."""
 
 import random
+import re
 from bisect import bisect_right
 
 import pytest
@@ -18,6 +19,7 @@ from gallery_crystals import (
     is_ssyt,
     normal_form,
     oracle_plactic_classes,
+    parse_word,
     plactic,
     rsk_insert,
     word,
@@ -73,10 +75,16 @@ class TestRskInsert:
     )
     def test_letters_out_of_range_rejected(self, letters):
         # Letters are checked before insertion.  Inserted, (1, 2, 3, 4) and
-        # (0, 1, 2, 3) would make a column longer than the rank.
+        # (0, 1, 2, 3) would make a column longer than the rank.  A gallery
+        # of one-letter columns and a parsed word name the same letter.
         bad = next(a for a in letters if not 1 <= a <= 3)
-        with pytest.raises(LetterOutOfRange, match=f"letter {bad} "):
+        message = f"^{re.escape(f'letter {bad} not in 1..3')}$"
+        with pytest.raises(LetterOutOfRange, match=message):
             rsk_insert(letters, 3)
+        with pytest.raises(LetterOutOfRange, match=message):
+            Gallery(3, tuple((a,) for a in letters))
+        with pytest.raises(LetterOutOfRange, match=message):
+            parse_word(" ".join(map(str, letters)), 3)
 
     def test_word_is_plactic_stable(self):
         # reinserting the word of an insertion tableau reproduces it
