@@ -7,9 +7,9 @@ is dominant, and the component is determined up to isomorphism by that
 vertex's weight.
 
 `connected_component` raises a gallery to that source and generates the
-component from it by `_walk`, a breadth-first search one i-string (one
-signature scan, each column bumped once per walk) at a time, and gives each
-vertex its weight from the vertex that listed it; `highest_weight_crystal`
+component from it by `_walk`, a breadth-first search that lists each
+i-string down from its top (one signature scan, each column bumped once per
+walk) and gives each vertex its weight from that top; `highest_weight_crystal`
 is the component of the dominant tableau.  `is_isomorphic` numbers each
 graph's vertices by a breadth-first search from its source along the stored
 edges, either way.
@@ -69,19 +69,23 @@ def canonical_dominant_gallery(lam: DominantWeight) -> Gallery:
 
 
 def _walk(source: Gallery) -> tuple[dict[Gallery, int], list, list]:
-    """Breadth-first search from a source: for each vertex v in visiting order
-    and each i = 1..rank-1 whose i-string through v is not yet listed,
-    `_string` lists it top to bottom from one scan, each consecutive pair (u, w)
-    an edge (u, w, i), through the walk's tables, which make each column once.
-    A string member already reached, except v (number k), is replaced by the
-    vertex object listed first before the edges are recorded, so each vertex
-    is one object, which the edges share, and the duplicate is freed at once.
+    """Breadth-first search from a source: at each vertex v in visiting order
+    that tops a nontrivial i-string (epsilon_i = 0 < phi_i), i = 1..rank-1,
+    `_string` lists it top to bottom from one scan through the walk's table
+    for i, which makes each column once, each consecutive pair (u, w) an edge
+    (u, w, i); a vertex listed below a top skips the scan for i.  Tops reach
+    every vertex: each w but the source has some epsilon_i(w) > 0, the top of
+    its i-string lies fewer lowering steps from the source, so by induction
+    on that depth the top is reached, visited and lists the string.
+    A string member already reached is replaced by the vertex object listed
+    first before the edges are recorded, so each vertex is one object, which
+    the edges share, and the duplicate is freed at once.
     Returns the visiting number of each vertex reached (a dict, so that
     ``frozenset(index)`` reuses its stored hashes), the edges, and for each
-    later vertex a birth record (k, i, up): it is e_i^up (f_i^-up) of vertex k.
+    later vertex a birth record (k, i, place): it is f_i^place of vertex k.
     """
     rank, made = source.rank, dict(zip(source.columns, source.columns))
-    tables = [(_Bumps(i + 1, i, made), _Bumps(i, i + 1, made)) for i in range(rank)]
+    tables = [_Bumps(i, i + 1, made) for i in range(rank)]
     index = {source: 0}
     order = [source]
     listed = [0]  # bit i of listed[k]: the i-string through order[k] is listed
@@ -91,18 +95,16 @@ def _walk(source: Gallery) -> tuple[dict[Gallery, int], list, list]:
             if listed[k] >> i & 1:
                 continue
             plus, minus = _survivors(v, i)
-            if not (plus or minus):
+            if minus or not plus:
                 continue
-            string = _string(v, plus, minus, *tables[i])
-            for place, w in enumerate(string):
-                if w is v:
-                    continue
+            string = _string(v, plus, tables[i])
+            for place, w in enumerate(string[1:], 1):
                 number = index.get(w)
                 if number is None:
                     index[w] = len(order)
                     order.append(w)
                     listed.append(1 << i)
-                    births.append((k, i, len(minus) - place))
+                    births.append((k, i, place))
                 else:
                     listed[number] |= 1 << i
                     string[place] = order[number]
@@ -112,18 +114,19 @@ def _walk(source: Gallery) -> tuple[dict[Gallery, int], list, list]:
 
 def connected_component(gallery: Gallery) -> CrystalGraph:
     """The component of the gallery: the walk from its unique source lists
-    each i-string once, so B(lambda) takes (n-1)(|V|+1) - |E| signature
-    scans, n-1 of them finding that its dominant tableau is the source.
-    Each vertex gets its weight at birth from the vertex that listed it, each
-    step up an i-string adding alpha_i, and is one object, which its edges share.
+    each i-string once, from its top, so B(lambda) takes (n-1)(|V|+1) - |E|
+    signature scans, n-1 of them finding that its dominant tableau is the source.
+    Each vertex gets its weight at birth from the top of the string that listed
+    it, each step down an i-string moving a letter from i to i+1, and is one
+    object, which its edges share.
     """
     source = highest_weight_vertex(gallery)
     index, edges, births = _walk(source)
     tallies, weights = [weight(source).counts], _Weights()
-    for w, (k, i, up) in zip(islice(index, 1, None), births):
+    for w, (k, i, place) in zip(islice(index, 1, None), births):
         counts = list(tallies[k])
-        counts[i - 1] += up
-        counts[i] -= up
+        counts[i - 1] -= place
+        counts[i] += place
         tallies.append(tuple(counts))
         _set_weight(w, weights[tallies[-1]])
     return CrystalGraph(source.rank, frozenset(index), frozenset(edges))

@@ -8,14 +8,15 @@ rightmost surviving "+", e_i bumps i+1 to i in the column of the leftmost
 surviving "-", and phi_i = s, epsilon_i = r.  An inapplicable operator
 returns None.
 
-One scan lists a whole i-string (`_string`): f_i^k bumps the first k
-surviving pluses in reading order, and e_i^k the last k surviving minuses.
+One scan fixes a whole i-string: f_i^k bumps the first k surviving pluses in
+reading order, and e_i^k the last k surviving minuses.
 For f_i (e_i is the mirror image), the first surviving "+" was pushed on an
 empty stack and never popped; bumped to a "-", it meets that empty stack and
 survives, every later column is matched as before, and so the next "+" is first.
 So `_move` (one scan, one column copy) serves `e`, `f`, ``apply --times`` and
 `fiber`'s replay of the jumps by which `_raise_to_source` climbs whole strings,
-and `_string` the crystal walk; all three bump through `_Bumps` tables.
+and `_string`, bumping down only, lists each string of the crystal walk from
+its top; all three bump through `_Bumps` tables.
 """
 
 from __future__ import annotations
@@ -116,18 +117,12 @@ def e(gallery: Gallery, i: int) -> Gallery | None:
     return _move(gallery, i, -1)
 
 
-def _string(gallery: Gallery, plus, minus, up: _Bumps, down: _Bumps) -> list[Gallery]:
-    """The i-string through the gallery, top to bottom, from its survivors for i."""
-    rank, cols, unsafe = gallery.rank, gallery.columns, Gallery._unsafe
-    columns, string = list(cols), []
-    for pos in minus:
-        columns[pos] = up[cols[pos]]
-    for pos in minus:
-        string.append(unsafe(rank, tuple(columns)))
-        columns[pos] = cols[pos]
-    string.append(gallery)
+def _string(top: Gallery, plus, down: _Bumps) -> list[Gallery]:
+    """The i-string top to bottom from its top (no minus survives) and its plus survivors."""
+    rank, columns, unsafe = top.rank, list(top.columns), Gallery._unsafe
+    string = [top]
     for pos in plus:
-        columns[pos] = down[cols[pos]]
+        columns[pos] = down[columns[pos]]
         string.append(unsafe(rank, tuple(columns)))
     return string
 

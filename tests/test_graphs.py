@@ -18,6 +18,7 @@ from gallery_crystals import (
     dominant_galleries,
     e,
     enumerate_ssyt,
+    epsilon,
     format_gallery,
     galleries_of_shape,
     gallery_from_word,
@@ -25,6 +26,7 @@ from gallery_crystals import (
     highest_weight_vertex,
     is_dominant,
     is_isomorphic,
+    phi,
     weight,
     weyl_dimension,
     word,
@@ -223,6 +225,49 @@ class TestScans:
         scans.clear()
         assert highest_weight_vertex(Gallery(4, ((4,),) * 50)) == Gallery(4, ((1,),) * 50)
         assert scans == [1, 2, 3, 2, 1, 1, 2, 3]
+
+
+# Starting galleries that are not tableaux, whose components the walk reaches
+# from a raised source.
+NON_TABLEAU_STARTS = [G("3|1,2|5|2", 5), G("2|3|1", 3)]
+
+
+def crystal_of(case) -> CrystalGraph:
+    """B(lambda) for a dominant weight, the component of a gallery otherwise."""
+    if isinstance(case, DominantWeight):
+        return highest_weight_crystal(case)
+    return connected_component(case)
+
+
+class TestStringsFromTops:
+    @pytest.mark.parametrize(
+        "case, expected",
+        [
+            (DominantWeight((40,)), 1),
+            (DominantWeight((3, 2)), 22),
+            (DominantWeight((1, 1, 1)), 66),
+            (DominantWeight((2, 0, 1, 1)), 632),
+            *zip(NON_TABLEAU_STARTS, (104, 6)),
+        ],
+        ids=str,
+    )
+    def test_each_string_listed_once_from_its_top(self, monkeypatch, case, expected):
+        # The walk lists an i-string only from its top (epsilon_i = 0), once,
+        # and lists every nontrivial one: one call per top with phi_i > 0.
+        calls = []
+        string = graphs._string
+
+        def recorded(top, plus, down):
+            calls.append((top, down.old))
+            return string(top, plus, down)
+
+        monkeypatch.setattr(graphs, "_string", recorded)
+        crystal = crystal_of(case)
+        assert all(epsilon(v, i) == 0 for v, i in calls)
+        assert len(set(calls)) == len(calls)
+        tops = [(v, i) for v in crystal.vertices for i in range(1, crystal.rank)
+                if epsilon(v, i) == 0 < phi(v, i)]
+        assert len(calls) == len(tops) == expected
 
 
 class TestOneObjectPerVertex:
@@ -588,9 +633,10 @@ def birth_cases() -> list[DominantWeight]:
 class TestWeightsAtBirth:
     """B(lambda) and `enumerate_ssyt` set each gallery's weight as they make it."""
 
-    @pytest.mark.parametrize("lam", birth_cases(), ids=str)
-    def test_crystal_vertices(self, lam):
-        vertices = highest_weight_crystal(lam).vertices
+    @pytest.mark.parametrize("case", birth_cases() + NON_TABLEAU_STARTS, ids=str)
+    def test_crystal_vertices(self, case):
+        # Components of non-tableau galleries too: every birth steps down a string.
+        vertices = crystal_of(case).vertices
         for v in vertices:
             assert weight(v) == letter_tally(v), v
         # Equal weights are one vector: the walk set them, nothing tallied.

@@ -157,7 +157,7 @@ class TestEpsilonPhi:
 
 class TestString:
     def test_matches_single_steps(self):
-        # One scan lists the i-string that single e/f steps walk.
+        # One scan of its top lists the i-string that single e/f steps walk.
         rng = random.Random(1414)
         for _ in range(400):
             rank = rng.randint(2, 6)
@@ -172,7 +172,8 @@ class TestString:
                     chain.insert(0, raised)
                 while (lowered := f(chain[-1], i)) is not None:
                     chain.append(lowered)
-                string = _string(g, *_survivors(g, i), _Bumps(i + 1, i, {}), _Bumps(i, i + 1, {}))
+                top = chain[0]
+                string = _string(top, _survivors(top, i)[0], _Bumps(i, i + 1, {}))
                 assert string == chain
                 assert len(string) == epsilon(g, i) + phi(g, i) + 1
 
