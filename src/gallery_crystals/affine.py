@@ -19,7 +19,8 @@ and adds e_j: it crosses exactly the roots (j, b) with b > j, at level
 x_j - x_b, since the earlier steps moved only coordinates below j.  The
 sets have distinct first indices, so they are disjoint, and each level is
 the root's pairing with x.  They list C(n, 2) roots in all, and any lift of
-x gives the same ones, since levels are differences.
+x gives the same ones, since levels are differences.  One staircase answers
+both checks, and each keeps its first failure.
 """
 
 from __future__ import annotations
@@ -62,16 +63,13 @@ def crossing_sets(gallery: Gallery) -> tuple[tuple[AffineRoot, ...], ...]:
 
 def _staircase(gamma: Gallery, delta: Gallery) -> tuple:
     """(k, x, segments): the splice's reading position len(delta), a lift x of
-    its start, and the crossing sets of eta's segments k, ..., k + n - 1,
-    walked up from x one letter at a time by the rule of `crossing_sets`."""
+    its start, and the crossing sets of eta's segments k, ..., k + n - 1 by
+    the rule of `crossing_sets`.  Each is read off x itself: segment j reads
+    only coordinates j and above, which the steps before it have not moved."""
     if gamma.rank != delta.rank:
         raise RankMismatch(f"ranks {gamma.rank} and {delta.rank} differ")
-    x = weight(delta).counts
-    n, cur, segments = len(x), list(x), []
-    for j in range(1, n + 1):
-        segments.append(_crossed(cur, (j,), n))
-        cur[j - 1] += 1
-    return len(delta.columns), x, tuple(segments)
+    n, x = delta.rank, weight(delta).counts
+    return len(delta.columns), x, tuple(_crossed(x, (j,), n) for j in range(1, n + 1))
 
 
 class WallCheck(namedtuple("WallCheck", "ok witness", defaults=(None,))):
@@ -80,32 +78,34 @@ class WallCheck(namedtuple("WallCheck", "ok witness", defaults=(None,))):
     __slots__ = ()
 
 
+def _splice_checks(gamma: Gallery, delta: Gallery) -> tuple[WallCheck, WallCheck]:
+    k, start, segments = _staircase(gamma, delta)
+    disjoint = stabilizer = WallCheck(ok=True)
+    seen: dict[AffineRoot, int] = {}
+    for segment, roots in enumerate(segments, k):
+        for root in roots:
+            if disjoint.ok and root in seen:
+                disjoint = WallCheck(ok=False, witness=(seen[root], segment, root))
+            seen.setdefault(root, segment)
+            if stabilizer.ok and root.root_pairing(start) > root.level:
+                stabilizer = WallCheck(ok=False, witness=(segment, root))
+    return disjoint, stabilizer
+
+
 def splice_disjointness(gamma: Gallery, delta: Gallery) -> WallCheck:
     """Whether the n spliced segments have pairwise disjoint crossing sets.
 
     The witness on failure is (segment_i, segment_j, root) using absolute
     segment indices of the spliced gallery.
     """
-    k, _, segments = _staircase(gamma, delta)
-    seen: dict[AffineRoot, int] = {}
-    for offset, segment in enumerate(segments):
-        for root in segment:
-            if root in seen:
-                return WallCheck(ok=False, witness=(seen[root], k + offset, root))
-            seen[root] = k + offset
-    return WallCheck(ok=True)
+    return _splice_checks(gamma, delta)[0]
 
 
 def stabilizer_condition(gamma: Gallery, delta: Gallery) -> WallCheck:
     """Whether every root crossed on the spliced segments has level at least
     its pairing with the splice's start vertex, the membership condition for
     the start's stabilizer group.  The witness on failure is (segment, root)."""
-    k, start, segments = _staircase(gamma, delta)
-    for offset, segment in enumerate(segments):
-        for root in segment:
-            if root.root_pairing(start) > root.level:
-                return WallCheck(ok=False, witness=(k + offset, root))
-    return WallCheck(ok=True)
+    return _splice_checks(gamma, delta)[1]
 
 
 def random_gallery(rng: random.Random, rank: int, max_columns: int = 4) -> Gallery:

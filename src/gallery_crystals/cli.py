@@ -40,7 +40,7 @@ from itertools import chain
 from math import comb
 
 from . import emit
-from .affine import random_gallery, splice_disjointness, stabilizer_condition
+from .affine import _splice_checks, random_gallery
 from .errors import GalleryError, ParseError, TooLarge
 from .galleries import (
     DominantWeight,
@@ -214,12 +214,11 @@ def _appendix_check(args) -> dict:
         raise ParseError("--cases counts seeded random pairs; it needs --seed")
     cases = 100 if args.cases is None else args.cases
     if args.seed is not None:
-        # The checks list exactly C(rank, 2) roots per pair, whatever its galleries.
+        # One staircase per pair lists exactly C(rank, 2) roots, whatever its galleries.
         _check_size((1 + cases) * comb(args.rank, 2), "positive roots")
     gamma = parse_gallery(args.gamma, args.rank)
     delta = parse_gallery(args.delta, args.rank)
-    disjoint = splice_disjointness(gamma, delta)
-    stabilizer = stabilizer_condition(gamma, delta)
+    disjoint, stabilizer = _splice_checks(gamma, delta)
     document = {"disjoint": disjoint.ok, "stabilizer": stabilizer.ok}
     if not disjoint.ok:
         i, j, root = disjoint.witness
@@ -231,10 +230,8 @@ def _appendix_check(args) -> dict:
         rng = random.Random(args.seed)
         failures = 0
         for _ in range(cases):
-            g = random_gallery(rng, args.rank)
-            d = random_gallery(rng, args.rank)
-            if not (splice_disjointness(g, d).ok and stabilizer_condition(g, d).ok):
-                failures += 1
+            g, d = random_gallery(rng, args.rank), random_gallery(rng, args.rank)
+            failures += not all(check.ok for check in _splice_checks(g, d))
         document["random_cases"] = cases
         document["random_failures"] = failures
     return document

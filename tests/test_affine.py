@@ -10,6 +10,7 @@ from gallery_crystals import (
     AffineRoot,
     Gallery,
     RankMismatch,
+    WallCheck,
     WeightVector,
     splice_disjointness,
     crossing_sets,
@@ -137,6 +138,19 @@ class TestStaircase:
         segments = ((AffineRoot(1, 2, 1),), (AffineRoot(2, 3, 1), low), ())
         monkeypatch.setattr(affine, "_staircase", lambda gamma, delta: (4, (2, 1, 0), segments))
         assert stabilizer_condition(Gallery(3), Gallery(3)) == (False, (5, low))
+
+    @pytest.mark.parametrize("later", [(), ((AffineRoot(2, 3, 0),),)])
+    def test_one_loop_keeps_each_first_failure(self, monkeypatch, later):
+        # r12 repeats on segments 5 and 6, and (e1 - e3, start) = 2 sits above
+        # r13's level 1 only after the disjointness failure; a later segment
+        # crossing (e2 - e3, start) = 1 at level 0 does not move that witness
+        r12, r23, r13 = AffineRoot(1, 2, 1), AffineRoot(2, 3, 1), AffineRoot(1, 3, 1)
+        segments = ((r12,), (r12, r23), (r12, r13)) + later
+        monkeypatch.setattr(affine, "_staircase", lambda gamma, delta: (4, (2, 1, 0), segments))
+        checks = (WallCheck(False, (4, 5, r12)), WallCheck(False, (6, r13)))
+        assert affine._splice_checks(Gallery(3), Gallery(3)) == checks
+        assert splice_disjointness(Gallery(3), Gallery(3)) == checks[0]
+        assert stabilizer_condition(Gallery(3), Gallery(3)) == checks[1]
 
 
 class TestWeightOfFullColumnWord:

@@ -607,7 +607,7 @@ class TestTooLarge:
         assert (code, out, err) == (0, "disjoint: true\nstabilizer: true\n", "")
 
     def test_random_pairs_counted_with_roots(self, capsys, monkeypatch):
-        # Each check lists exactly comb(rank, 2) roots per pair, so the
+        # One staircase per pair lists exactly comb(rank, 2) roots, so the
         # 101 x comb(14, 2) = 9,191 and 101 x comb(15, 2) = 10,605 roots are exact.
         listed = []
         staircase = affine._staircase
@@ -619,7 +619,7 @@ class TestTooLarge:
 
         monkeypatch.setattr(affine, "_staircase", counted)
         assert invoke(capsys, "appendix-check", "--rank", "14", "--seed", "1")[0] == 0
-        assert listed == [comb(14, 2)] * 2 * 101
+        assert listed == [comb(14, 2)] * 101
         code, _, err = invoke(capsys, "appendix-check", "--rank", "15", "--seed", "1")
         assert code == 1 and json.loads(err)["error"] == "too-large"
         assert invoke(capsys, "appendix-check", "--rank", "15")[0] == 0
@@ -769,8 +769,7 @@ class TestGolden:
         # failure fields are reached with stand-in checks.
         root = AffineRoot(1, 3, 2)
         disjoint, stabilizer = WallCheck(False, (0, 2, root)), WallCheck(False, (1, root))
-        monkeypatch.setattr(cli, "splice_disjointness", lambda gamma, delta: disjoint)
-        monkeypatch.setattr(cli, "stabilizer_condition", lambda gamma, delta: stabilizer)
+        monkeypatch.setattr(cli, "_splice_checks", lambda gamma, delta: (disjoint, stabilizer))
         argv = ("appendix-check", "--rank", "3", "--seed", "5", "--cases", "4")
         assert invoke(capsys, *argv) == (
             0, "disjoint: false\nstabilizer: false\nrandom: 0/4 ok\n", ""
