@@ -29,7 +29,7 @@ import random
 from collections import namedtuple
 
 from .errors import RankMismatch
-from .galleries import Gallery, path_vertices, weight
+from .galleries import Gallery, _check_rank, path_vertices, weight
 
 
 class AffineRoot(namedtuple("AffineRoot", "a b level")):
@@ -110,6 +110,7 @@ def stabilizer_condition(gamma: Gallery, delta: Gallery) -> WallCheck:
 
 def random_gallery(rng: random.Random, rank: int, max_columns: int = 4) -> Gallery:
     """A uniform-ish random proper gallery for seeded property checks."""
+    _check_rank(rank)
     num_columns = rng.randint(0, max_columns)
     columns = []
     for _ in range(num_columns):

@@ -155,29 +155,22 @@ def path_svg(document: dict) -> list[str]:
     size = 2 * reach * _SCALE
     half = size / 2
 
-    def at(p: tuple[float, float]) -> str:
+    def at(x: float, y: float) -> str:
         # SVG y axis points down.
-        return f"{half + _SCALE * p[0]:.2f},{half - _SCALE * p[1]:.2f}"
+        return f"{half + _SCALE * x:.2f},{half - _SCALE * y:.2f}"
 
-    omega1 = (0.5 * reach * 2, 0.8660254037844386 * reach * 2)
-    omega2 = (-0.5 * reach * 2, 0.8660254037844386 * reach * 2)
-    chamber = " ".join([at((0.0, 0.0)), at(omega1), at(omega2)])
-    polyline = " ".join(at(p) for p in points)
-    lines = [
+    tips = [(x * reach * 2, y * reach * 2) for x, y in _DIRECTIONS]
+    # The dominant chamber: the origin, the epsilon_1 tip and the epsilon_3 tip's opposite.
+    chamber = " ".join([at(0.0, 0.0), at(*tips[0]), at(-tips[2][0], -tips[2][1])])
+    polyline = " ".join(at(*p) for p in points)
+    axes = (at(*tip).split(",") for tip in tips)
+    return [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size:.0f}" height="{size:.0f}" '
         f'viewBox="0 0 {size:.2f} {size:.2f}">',
         f'  <polygon points="{chamber}" fill="#d0d0d0" fill-opacity="0.6" stroke="none"/>',
+        *(f'  <line x1="{half:.2f}" y1="{half:.2f}" x2="{x2}" y2="{y2}" '
+          'stroke="#bbbbbb" stroke-dasharray="4 4"/>' for x2, y2 in axes),
+        f'  <polyline points="{polyline}" fill="none" stroke="#c02020" stroke-width="3"/>',
+        f'  <circle cx="{half:.2f}" cy="{half:.2f}" r="4" fill="#000000"/>',
+        "</svg>",
     ]
-    for direction in _DIRECTIONS:
-        tip = (direction[0] * reach * 2, direction[1] * reach * 2)
-        lines.append(
-            f'  <line x1="{half:.2f}" y1="{half:.2f}" '
-            f'x2="{at(tip).split(",")[0]}" y2="{at(tip).split(",")[1]}" '
-            f'stroke="#bbbbbb" stroke-dasharray="4 4"/>'
-        )
-    lines.append(
-        f'  <polyline points="{polyline}" fill="none" stroke="#c02020" stroke-width="3"/>'
-    )
-    lines.append(f'  <circle cx="{half:.2f}" cy="{half:.2f}" r="4" fill="#000000"/>')
-    lines.append("</svg>")
-    return lines

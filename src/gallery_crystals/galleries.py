@@ -288,12 +288,15 @@ _set_rank, _set_columns = Gallery.rank.__set__, Gallery.columns.__set__
 _set_weight = Gallery._weight.__set__
 
 
-class _Weights(dict):
-    """Letter tallies to their one `WeightVector`, made on first lookup."""
+class _Table(dict):
+    """Key -> ``make(key)``, made on first lookup and kept."""
 
-    def __missing__(self, tallies: tuple[int, ...]) -> WeightVector:
-        mu = self[tallies] = WeightVector._unsafe(tallies)
-        return mu
+    def __init__(self, make) -> None:
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
 
 
 class DominantWeight(_Value):
@@ -395,6 +398,7 @@ def format_word(letters) -> str:
 
 
 def parse_word(text: str, rank: int) -> Word:
+    _check_rank(rank)
     text = text.strip()
     if not text:
         return ()

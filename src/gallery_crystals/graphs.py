@@ -26,7 +26,7 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import combinations, islice, product, repeat
 from math import comb, prod
-from operator import add, getitem, le, sub
+from operator import add, getitem, le
 
 from .errors import NotConnected
 from .galleries import (
@@ -35,13 +35,13 @@ from .galleries import (
     Shape,
     WeightVector,
     _set_weight,
+    _Table,
     _Value,
-    _Weights,
     _descending,
     validate_shape,
     weight,
 )
-from .operators import _Bumps, _raise_to_source, _string, _survivors
+from .operators import _bumps, _raise_to_source, _string, _survivors
 
 
 class CrystalGraph(_Value):
@@ -85,7 +85,7 @@ def _walk(source: Gallery) -> tuple[dict[Gallery, int], list, list]:
     later vertex a birth record (k, i, place): it is f_i^place of vertex k.
     """
     rank, made = source.rank, dict(zip(source.columns, source.columns))
-    tables = [_Bumps(i, i + 1, made) for i in range(rank)]
+    tables = [_bumps(i, i + 1, made) for i in range(rank)]
     index = {source: 0}
     order = [source]
     listed = [0]  # bit i of listed[k]: the i-string through order[k] is listed
@@ -122,7 +122,7 @@ def connected_component(gallery: Gallery) -> CrystalGraph:
     """
     source = highest_weight_vertex(gallery)
     index, edges, births = _walk(source)
-    tallies, weights = [weight(source).counts], _Weights()
+    tallies, weights = [weight(source).counts], _Table(WeightVector._unsafe)
     for w, (k, i, place) in zip(islice(index, 1, None), births):
         counts = list(tallies[k])
         counts[i - 1] -= place
@@ -228,7 +228,7 @@ def _dominant_galleries(shape: Shape, rank: int, cap: list[int]):
     # ``path[1:]`` is the prefix popped last, so a prefix's columns before its
     # last one are never copied.
     alphabets = [tuple(combinations(range(1, rank + 1), d)) for d in shape]
-    weights = _Weights()
+    weights = _Table(WeightVector._unsafe)
     path: list = []
     stack = [(0, None, [0] * rank)]
     while stack:
@@ -284,28 +284,32 @@ def decompose(shape: Shape, rank: int) -> Decomposition:
 
 def _row_fillings(
     rank: int, lengths: list[int], t: int, above: tuple[int, ...], letters
-) -> list[tuple[tuple[int, ...], tuple]]:
+) -> list[tuple[tuple[int, ...], tuple[int, ...], tuple]]:
     """Fillings of display row t below a row with prefix counts ``above``.
 
-    Returns (prefix counts P(0..rank), entries in reading order) pairs,
-    lexicographic in the row's display entries: P(v) counts the entries
-    <= v and is tried from its largest value down, letter by letter.  The
-    entry v is written as ``letters[v]``, each run of it by one tuple
+    Returns (prefix counts P(0..rank-1), letter counts P(v) - P(v-1) for
+    v = 1..rank, entries in reading order) triples, lexicographic in the
+    row's display entries: P(v) counts the entries <= v and is tried from
+    its largest value down, letter by letter, up to P(rank), the length.
+    The entry v is written as ``letters[v]``, each run of it by one tuple
     repetition: the letter itself, or for row 0 its shared one-box column.
     """
     length = lengths[t]
-    partial: list[tuple[tuple[int, ...], tuple]] = [((0,), ())]
+    partial: list[tuple[tuple[int, ...], tuple[int, ...], tuple]] = [((0,), (), ())]
     for v in range(1, rank):
         cap = min(length, above[v - 1])
         floor = lengths[t + rank - v]
         run = (letters[v],)
         partial = [
-            (prefix + (q,), run * (q - prefix[-1]) + row)
-            for prefix, row in partial
+            (prefix + (q,), counts + (q - prefix[-1],), run * (q - prefix[-1]) + row)
+            for prefix, counts, row in partial
             for q in range(cap, max(prefix[-1], floor) - 1, -1)
         ]
     run = (letters[rank],)
-    return [(prefix + (length,), run * (length - prefix[-1]) + row) for prefix, row in partial]
+    return [
+        (prefix, counts + (length - prefix[-1],), run * (length - prefix[-1]) + row)
+        for prefix, counts, row in partial
+    ]
 
 
 def enumerate_ssyt(shape: Shape, rank: int) -> list[Gallery]:
@@ -320,18 +324,18 @@ def enumerate_ssyt(shape: Shape, rank: int) -> list[Gallery]:
     the rows are listed without backtracking.  Each row is built from its
     runs of equal letters.  A partial tableau keeps the top t entries of
     each column that row t covers, and row t extends such a column c by its
-    entry v to ``grow[c][v]``, from a table built per row: each column is
-    made once per call, and the tableaux share their columns.  Row 0 writes
-    its entries as the shared one-box columns ``grow[()][v]`` themselves, so
+    entry v to ``grow[c][v]``, made on first lookup: each column is made
+    once per call, and the tableaux share their columns.  Row 0 writes its
+    entries as the shared one-box columns ``grow[()][v]`` themselves, so
     each of its fillings is already its columns and needs no lookup.
 
     A row's fillings depend only on t and the prefix counts of row t - 1, so
     they are listed once per such pair and shared.  The order is
     lexicographic on the row-major entries.  The last row's loop makes the
-    tableaux, each holding its weight: the tally of letter v is the sum over
-    the rows of P_t(v) - P_t(v-1), so equal weights have equal running sums
-    and one vector.  The crystal operators are not used, so the result can
-    check `highest_weight_crystal`.
+    tableaux, each holding its weight: each filling carries its letter
+    counts P_t(v) - P_t(v-1), whose running sums over the rows are the
+    tallies, and equal tallies have one vector.  The crystal operators are
+    not used, so the result can check `highest_weight_crystal`.
     A non-monotone shape has no tableaux.
     """
     shape = validate_shape(shape, rank)
@@ -341,33 +345,27 @@ def enumerate_ssyt(shape: Shape, rank: int) -> list[Gallery]:
     depth = heights[0] if heights else 1  # the empty tableau: one empty row
     # lengths[t] is the length of display row t; zero below the last row.
     lengths = [sum(1 for d in heights if d > t) for t in range(depth + rank)]
-    # Partial tableaux as (prefix counts of the last row, their sums over the
-    # rows so far, the unfinished columns, the finished columns), both in
+    # Partial tableaux as (prefix counts of the last row, the letter tallies of
+    # the rows so far, the unfinished columns, the finished columns), both in
     # reading order: row t covers the last lengths[t] reading positions.
     # Row 0 has no row above; its caps are its own length.
     # The last row's loop leaves the tableaux themselves.
-    partial = [((lengths[0],) * (rank + 1), (0,) * (rank + 1), ((),) * lengths[0], ())]
-    weights: dict[tuple[int, ...], WeightVector] = {}
+    partial = [((lengths[0],) * rank, (0,) * rank, ((),) * lengths[0], ())]
+    grow = _Table(lambda c: [c + (v,) for v in range(rank + 1)])
+    weights = _Table(WeightVector._unsafe)
     for t in range(depth):
         finish = lengths[t] - lengths[t + 1]
-        # The columns row t extends are t-subsets of 1..rank - h + t, h the shortest (bound above).
-        top = rank + t - min(heights[:lengths[t]], default=rank)
-        grow = {c: [c + (v,) for v in range(rank + 1)] for c in combinations(range(1, top + 1), t)}
         letters = range(rank + 1) if t else grow[()]
-        grown, fillings = [], {}
+        grown = []
+        fillings = _Table(lambda above: _row_fillings(rank, lengths, t, above, letters))
         for above, sums, unfinished, columns in partial:
-            if above not in fillings:
-                fillings[above] = _row_fillings(rank, lengths, t, above, letters)
             nexts = list(map(grow.__getitem__, unfinished))
-            for prefix, row in fillings[above]:
+            for prefix, counts, row in fillings[above]:
                 extended = tuple(map(getitem, nexts, row)) if t else row
-                total = tuple(map(add, sums, prefix))
+                total = tuple(map(add, sums, counts))
                 if t + 1 < depth:
                     grown.append((prefix, total, extended[finish:], columns + extended[:finish]))
-                    continue
-                mu = weights.get(total)
-                if mu is None:
-                    mu = weights[total] = WeightVector._unsafe(tuple(map(sub, total[1:], total)))
-                grown.append(Gallery._unsafe(rank, columns + extended, mu))
+                else:
+                    grown.append(Gallery._unsafe(rank, columns + extended, weights[total]))
         partial = grown
     return partial

@@ -16,12 +16,12 @@ survives, every later column is matched as before, and so the next "+" is first.
 So `_move` (one scan, one column copy) serves `e`, `f`, ``apply --times`` and
 `fiber`'s replay of the jumps by which `_raise_to_source` climbs whole strings,
 and `_string`, bumping down only, lists each string of the crystal walk from
-its top; all three bump through `_Bumps` tables.
+its top; all three bump each column once, through a `_bumps` table.
 """
 
 from __future__ import annotations
 
-from .galleries import Gallery, _check_index
+from .galleries import Gallery, _check_index, _Table
 
 
 def i_signature(gallery: Gallery, i: int) -> str:
@@ -61,19 +61,12 @@ def _bump(col: tuple[int, ...], old: int, new: int) -> tuple[int, ...]:
     return col[:k] + (new,) + col[k + 1 :]
 
 
-class _Bumps(dict):
+def _bumps(old: int, new: int, made: dict) -> _Table:
     """Column -> the column with ``old`` bumped to ``new``; ``made`` keeps one object a value."""
-
-    def __init__(self, old: int, new: int, made: dict) -> None:
-        self.old, self.new, self.made = old, new, made
-
-    def __missing__(self, col: tuple[int, ...]) -> tuple[int, ...]:
-        bumped = _bump(col, self.old, self.new)
-        bumped = self[col] = self.made.setdefault(bumped, bumped)
-        return bumped
+    return _Table(lambda col: made.setdefault(b := _bump(col, old, new), b))
 
 
-def _jump(gallery: Gallery, positions, bumps: _Bumps) -> Gallery:
+def _jump(gallery: Gallery, positions, bumps: _Table) -> Gallery:
     columns = list(gallery.columns)
     for pos in positions:
         columns[pos] = bumps[columns[pos]]
@@ -88,8 +81,8 @@ def _move(gallery: Gallery, i: int, k: int) -> Gallery | None:
     if not -len(minus) <= k <= len(plus):
         return None
     if k >= 0:
-        return _jump(gallery, plus[:k], _Bumps(i, i + 1, {}))
-    return _jump(gallery, minus[k:], _Bumps(i + 1, i, {}))
+        return _jump(gallery, plus[:k], _bumps(i, i + 1, {}))
+    return _jump(gallery, minus[k:], _bumps(i + 1, i, {}))
 
 
 def _raise_to_source(gallery: Gallery) -> tuple[Gallery, list[tuple[int, int]]]:
@@ -101,7 +94,7 @@ def _raise_to_source(gallery: Gallery) -> tuple[Gallery, list[tuple[int, int]]]:
     while i < gallery.rank:
         _, minus = _survivors(gallery, i)
         if minus:
-            gallery = _jump(gallery, minus, _Bumps(i + 1, i, made))
+            gallery = _jump(gallery, minus, _bumps(i + 1, i, made))
             jumps.append((i, len(minus)))
         i = max(i - 1, 1) if minus else i + 1
     return gallery, jumps
@@ -117,7 +110,7 @@ def e(gallery: Gallery, i: int) -> Gallery | None:
     return _move(gallery, i, -1)
 
 
-def _string(top: Gallery, plus, down: _Bumps) -> list[Gallery]:
+def _string(top: Gallery, plus, down: _Table) -> list[Gallery]:
     """The i-string top to bottom from its top (no minus survives) and its plus survivors."""
     rank, columns, unsafe = top.rank, list(top.columns), Gallery._unsafe
     string = [top]

@@ -9,6 +9,7 @@ import pytest
 from gallery_crystals import (
     AffineRoot,
     Gallery,
+    InvalidRank,
     RankMismatch,
     WallCheck,
     WeightVector,
@@ -180,6 +181,13 @@ class TestAppendixChecks:
             for delta in singles:
                 assert splice_disjointness(gamma, delta).ok
                 assert stabilizer_condition(gamma, delta).ok
+
+    @pytest.mark.parametrize("rank", [1, 0, -3, 2.0])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_gallery_checks_rank_first(self, seed, rank):
+        # The same error whatever the draws would have been.
+        with pytest.raises(InvalidRank, match=f"^rank must be an integer >= 2, got {rank!r}$"):
+            random_gallery(random.Random(seed), rank)
 
     def test_random_pairs_are_reproducible(self):
         rng = random.Random(7)

@@ -217,6 +217,13 @@ class TestRankRule:
         with pytest.raises(InvalidRank, match="^rank must be an integer >= 2, got 1$"):
             DominantWeight(())
 
+    @pytest.mark.parametrize(
+        "text, rank", [("1", 1), ("", 0), ("1", True), ("1 1", 1.5)], ids=repr
+    )
+    def test_parse_word(self, text, rank):
+        with pytest.raises(InvalidRank, match=f"^rank must be an integer >= 2, got {rank!r}$"):
+            parse_word(text, rank)
+
 
 class TestWord:
     def test_star(self):

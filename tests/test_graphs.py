@@ -258,7 +258,8 @@ class TestStringsFromTops:
         string = graphs._string
 
         def recorded(top, plus, down):
-            calls.append((top, down.old))
+            col = top.columns[plus[0]]
+            calls.append((top, min(set(col) - set(down[col]))))
             return string(top, plus, down)
 
         monkeypatch.setattr(graphs, "_string", recorded)
@@ -559,19 +560,20 @@ class TestEnumerateSsyt:
         assert len({id(c) for t in enumerate_ssyt((1,) * 50, 2) for c in t.columns}) == 2
 
     def test_column_table_holds_only_reachable_tops(self, monkeypatch):
-        # A column of height rank - 1 has rank tableaux: the column table of
-        # row t holds its t + 1 possible tops, not every t-subset of 1..rank.
-        drawn = []
-        draw = graphs.combinations
+        # A column of height rank - 1 has rank tableaux: the column table
+        # makes row t's t + 1 possible tops, not every t-subset of 1..rank.
+        tables = []
 
-        def recorded(pool, t):
-            tops = list(draw(pool, t))
-            drawn.extend(tops)
-            return tops
+        class Recorded(graphs._Table):
+            def __init__(self, make):
+                super().__init__(make)
+                tables.append(self)
 
-        monkeypatch.setattr(graphs, "combinations", recorded)
+        monkeypatch.setattr(graphs, "_Table", Recorded)
         assert enumerate_ssyt((12,), 13) == cellwise_ssyt((12,), 13)
-        assert len(drawn) == sum(t + 1 for t in range(12))
+        # The column table is the one holding the empty column, row 0's top.
+        (columns,) = [table for table in tables if () in table]
+        assert len(columns) == sum(t + 1 for t in range(12))
 
     def test_top_row_needs_no_column_lookup(self, monkeypatch):
         # Row 0's fillings are written as the shared one-box columns, so only

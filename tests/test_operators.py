@@ -21,7 +21,7 @@ from gallery_crystals import (
 )
 from gallery_crystals import operators
 from gallery_crystals.affine import random_gallery
-from gallery_crystals.operators import _Bumps, _move, _raise_to_source, _string, _survivors
+from gallery_crystals.operators import _bumps, _move, _raise_to_source, _string, _survivors
 from _support import (
     G,
     gallery_universe,
@@ -173,7 +173,7 @@ class TestString:
                 while (lowered := f(chain[-1], i)) is not None:
                     chain.append(lowered)
                 top = chain[0]
-                string = _string(top, _survivors(top, i)[0], _Bumps(i, i + 1, {}))
+                string = _string(top, _survivors(top, i)[0], _bumps(i, i + 1, {}))
                 assert string == chain
                 assert len(string) == epsilon(g, i) + phi(g, i) + 1
 
