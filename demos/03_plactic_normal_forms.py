@@ -5,13 +5,14 @@ full columns 1..n of its tableau, which is what makes the staircase word
 collapse to the empty tableau.
 """
 
+from itertools import product
+
 from gallery_crystals import (
     equivalent,
     format_gallery,
     gallery_from_word,
     is_ssyt,
     normal_form,
-    oracle_plactic_classes,
     parse_gallery,
     rsk_insert,
 )
@@ -33,8 +34,13 @@ print("is_ssyt('1|1,2') :", is_ssyt(parse_gallery("1|1,2", 3)), "(display column
 print("\nequivalent('3|1,2|5|2', '3|2|1|5|2') :", equivalent(
     parse_gallery("3|1,2|5|2", 5), parse_gallery("3|2|1|5|2", 5)))
 
-# the brute-force rewriting oracle partitions short words into classes
+# words of one plactic class share their normal form, so grouping short
+# words by it lists the classes (each word, and each class, in shortlex order)
 print("\nplactic classes of words of length <= 3 over {1,2,3}:")
-for cls in oracle_plactic_classes(3, 3):
+classes = {}
+for length in range(4):
+    for w in product((1, 2, 3), repeat=length):
+        classes.setdefault(normal_form(gallery_from_word(w, 3)), []).append(w)
+for cls in classes.values():
     if len(cls) > 1:
         print("  ", " ~ ".join("".join(map(str, w)) or "()" for w in cls))

@@ -54,7 +54,6 @@ from .plactic import (
     equivalent,
     is_ssyt,
     normal_form,
-    oracle_plactic_classes,
     rsk_insert,
 )
 from .graphs import (

@@ -36,7 +36,7 @@ import random
 import re
 import sys
 from collections import namedtuple
-from itertools import chain
+from itertools import product
 from math import comb
 
 from . import emit
@@ -66,7 +66,7 @@ from .graphs import (
 )
 from .mv import MVLabel, fiber, image_weights, mv_label
 from .operators import _move, i_signature
-from .plactic import equivalent, normal_form, oracle_plactic_classes
+from .plactic import _insert, equivalent, normal_form
 
 # The most galleries (decompose, image-weights, fiber), crystal vertices
 # (blambda, component), words (oracle-classes), positive roots (any rank) or
@@ -124,33 +124,6 @@ def _shape(args) -> tuple[int, ...]:
     return shape
 
 
-def _oracle_words(max_len: int, rank: int) -> int:
-    """An upper bound on the words `oracle_plactic_classes` visits, or a
-    count past `SIZE_LIMIT` once the bound is sure to exceed it.
-
-    The search visits every word of length at most ``max_len``.  A longer
-    word, of length L up to ``max_len + rank``, is visited only if its
-    insertion tableau has a full column, since it is equivalent to a shorter
-    word.  Under RSK a word is a pair of tableaux of one shape; removing the
-    full first column from both leaves the pair of a word of L - rank letters,
-    and the removed recording entries are 1 and rank - 1 of the other L - 1
-    positions.  So at most C(L - 1, rank - 1) * rank**(L - rank) words of
-    length L are visited.
-    """
-    counts = (rank**length for length in range(max_len + 1))
-    longer = range(max(max_len + 1, rank), max_len + rank + 1)
-    counts = chain(
-        counts, (comb(length - 1, rank - 1) * rank ** (length - rank) for length in longer)
-    )
-    # Every term is at least 1, so this stops within SIZE_LIMIT + 1 terms.
-    words = 0
-    for count in counts:
-        words += count
-        if words > SIZE_LIMIT:
-            break
-    return words
-
-
 def _gallery(args) -> Gallery:
     return parse_gallery(args.gallery, args.rank)
 
@@ -166,8 +139,19 @@ def _apply(args) -> dict:
 
 
 def _oracle_classes(args) -> list:
-    _check_size(_oracle_words(args.max_len, args.rank), "words")
-    return [[list(w) for w in cls] for cls in oracle_plactic_classes(args.max_len, args.rank)]
+    # Every word up to --max-len letters, counted exactly; the check inside
+    # the sum ends a huge --max-len after a few terms.
+    words = 0
+    for length in range(args.max_len + 1):
+        words += args.rank**length
+        _check_size(words, "words")
+    # Words in shortlex order list each class in order, and the classes by
+    # their first words.
+    classes: dict[Gallery, list] = {}
+    for length in range(args.max_len + 1):
+        for w in product(range(1, args.rank + 1), repeat=length):
+            classes.setdefault(_insert(w, args.rank), []).append(list(w))
+    return list(classes.values())
 
 
 def _component(args) -> dict:
@@ -316,7 +300,7 @@ COMMANDS = (
                 parse_gallery(args.first, args.rank), parse_gallery(args.second, args.rank)
             )},
             {"text": lambda doc: [_bool(doc["equivalent"])], "json": emit.json_lines}),
-    Command("oracle-classes", "brute-force plactic classes of short words",
+    Command("oracle-classes", "plactic classes of short words",
             ((("--max-len",), {"type": _count, "required": True}),), _oracle_classes,
             {"text": lambda classes: [" | ".join(_csv(w) or "-" for w in cls) for cls in classes],
              "json": emit.json_lines}),

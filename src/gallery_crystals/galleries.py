@@ -378,6 +378,7 @@ def parse_gallery(text: str, rank: int) -> Gallery:
     column in reading order is the first occurrence of a faulty distinct
     column, so `Gallery` reports the same fault as for them all.
     """
+    _check_rank(rank)
     text = text.strip()
     if not text:
         return Gallery(rank, ())

@@ -20,16 +20,15 @@ tableau, whose reading word inserts back to itself.  With letters in 1..n,
 the full columns are exactly those of height n.  One public path,
 `rsk_insert`, checks its letters and rank before inserting.  The trusted
 internal path, `_insert`, takes ints in 1..n; `normal_form` gives it the
-word of a proper gallery.
-`oracle_plactic_classes` is an independent brute-force rewriting oracle
-used to certify the normal form at test scale.
+word of a proper gallery, and the `oracle-classes` subcommand each word it
+groups.  The test suite certifies the normal form against a brute-force
+rewriting oracle.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import deque
-from itertools import product, zip_longest
+from itertools import zip_longest
 
 from .errors import RankMismatch
 from .galleries import Gallery, Word, _check_letters, _check_rank, _plain_ints, word
@@ -104,73 +103,3 @@ def equivalent(gallery: Gallery, other: Gallery) -> bool:
     if gallery.rank != other.rank:
         raise RankMismatch(f"ranks {gallery.rank} and {other.rank} differ")
     return normal_form(gallery) == normal_form(other)
-
-
-# -- brute-force rewriting oracle -------------------------------------------
-
-
-def _knuth_neighbors(w: Word) -> list[Word]:
-    # Both directions of relations a and b on each 3-letter window: a swaps
-    # the last two letters, b swaps the first two.
-    out = []
-    for p in range(len(w) - 2):
-        u, v, t = w[p], w[p + 1], w[p + 2]
-        if (v <= u < t) or (t <= u < v):
-            # a:  y x z <-> y z x  for x <= y < z
-            out.append(w[: p + 1] + (t, v) + w[p + 3 :])
-        if (v < t <= u) or (u < t <= v):
-            # b:  z x y <-> x z y  for x < y <= z
-            out.append(w[:p] + (v, u) + w[p + 2 :])
-    return out
-
-
-def _column_relation_neighbors(w: Word, staircase: Word, max_insert_len: int) -> list[Word]:
-    n = len(staircase)
-    out = []
-    for p in range(len(w) - n + 1):
-        if w[p : p + n] == staircase:
-            out.append(w[:p] + w[p + n :])
-    if len(w) <= max_insert_len:
-        for p in range(len(w) + 1):
-            out.append(w[:p] + staircase + w[p:])
-    return out
-
-
-def all_words(max_len: int, rank: int):
-    """All words of length <= max_len over 1..rank, in shortlex order."""
-    for length in range(max_len + 1):
-        yield from product(range(1, rank + 1), repeat=length)
-
-
-def oracle_plactic_classes(max_len: int, rank: int) -> tuple[tuple[Word, ...], ...]:
-    """Partition all words of length <= max_len into plactic classes.
-
-    The equivalence closure is explored by breadth-first search over single
-    rewrites: relations a and b in both directions, and deletion or insertion
-    of the factor 1...n at any position.  Intermediate words are allowed to
-    grow to max_len + n, which suffices to connect classes at test scale.
-    Classes are returned sorted, each class sorted shortlex, with only the
-    words of length <= max_len reported.
-    """
-    staircase = tuple(range(1, rank + 1))
-    seen: set[Word] = set()
-    classes: list[tuple[Word, ...]] = []
-    for start in all_words(max_len, rank):
-        if start in seen:
-            continue
-        component: set[Word] = {start}
-        queue = deque([start])
-        while queue:
-            w = queue.popleft()
-            neighbors = _knuth_neighbors(w)
-            neighbors += _column_relation_neighbors(w, staircase, max_len)
-            for nb in neighbors:
-                if nb not in component:
-                    component.add(nb)
-                    queue.append(nb)
-        seen |= component
-        members = sorted(
-            (w for w in component if len(w) <= max_len), key=lambda w: (len(w), w)
-        )
-        classes.append(tuple(members))
-    return tuple(sorted(classes, key=lambda cls: (len(cls[0]), cls[0])))

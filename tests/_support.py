@@ -6,7 +6,7 @@ import random
 import re
 from bisect import bisect_right
 from collections import Counter, deque
-from itertools import chain
+from itertools import chain, product
 
 from gallery_crystals import (
     CrystalGraph,
@@ -34,7 +34,7 @@ from gallery_crystals import (
     weight,
     weyl_dimension,
 )
-from gallery_crystals.galleries import Shape, validate_shape
+from gallery_crystals.galleries import Shape, Word, validate_shape
 
 
 def G(text: str, rank: int) -> Gallery:
@@ -42,10 +42,12 @@ def G(text: str, rank: int) -> Gallery:
 
 
 def columnwise_parse_gallery(text: str, rank: int) -> Gallery:
-    """Reference for `parse_gallery`: parse every column, then build the gallery."""
+    """Reference for `parse_gallery`: check the rank, parse every column, then
+    build the gallery."""
+    empty = Gallery(rank, ())
     text = text.strip()
     if not text:
-        return Gallery(rank, ())
+        return empty
     display = []
     for chunk in text.split("|"):
         entries = [piece.strip() for piece in chunk.split(",")]
@@ -123,6 +125,74 @@ def transposing_insert(letters, rank: int) -> Gallery:
         cut = len(rows[-1])
         rows = [row[cut:] for row in rows if len(row) > cut]
     return Gallery._unsafe(rank, tuple(reversed(display)))
+
+
+def _knuth_neighbors(w: Word) -> list[Word]:
+    # Both directions of relations a and b on each 3-letter window: a swaps
+    # the last two letters, b swaps the first two.
+    out = []
+    for p in range(len(w) - 2):
+        u, v, t = w[p], w[p + 1], w[p + 2]
+        if (v <= u < t) or (t <= u < v):
+            # a:  y x z <-> y z x  for x <= y < z
+            out.append(w[: p + 1] + (t, v) + w[p + 3 :])
+        if (v < t <= u) or (u < t <= v):
+            # b:  z x y <-> x z y  for x < y <= z
+            out.append(w[:p] + (v, u) + w[p + 2 :])
+    return out
+
+
+def _column_relation_neighbors(w: Word, staircase: Word, max_insert_len: int) -> list[Word]:
+    n = len(staircase)
+    out = []
+    for p in range(len(w) - n + 1):
+        if w[p : p + n] == staircase:
+            out.append(w[:p] + w[p + n :])
+    if len(w) <= max_insert_len:
+        for p in range(len(w) + 1):
+            out.append(w[:p] + staircase + w[p:])
+    return out
+
+
+def all_words(max_len: int, rank: int):
+    """All words of length <= max_len over 1..rank, in shortlex order."""
+    for length in range(max_len + 1):
+        yield from product(range(1, rank + 1), repeat=length)
+
+
+def oracle_plactic_classes(max_len: int, rank: int) -> tuple[tuple[Word, ...], ...]:
+    """Partition all words of length <= max_len into plactic classes.
+
+    The equivalence closure is explored by breadth-first search over single
+    rewrites: relations a and b in both directions, and deletion or insertion
+    of the factor 1...n at any position.  Intermediate words are allowed to
+    grow to max_len + n, which suffices to connect classes at test scale.
+    Classes are returned sorted, each class sorted shortlex, with only the
+    words of length <= max_len reported.
+    """
+    staircase = tuple(range(1, rank + 1))
+    seen: set[Word] = set()
+    classes: list[tuple[Word, ...]] = []
+    for start in all_words(max_len, rank):
+        if start in seen:
+            continue
+        component: set[Word] = {start}
+        queue = deque([start])
+        while queue:
+            w = queue.popleft()
+            neighbors = _knuth_neighbors(w)
+            neighbors += _column_relation_neighbors(w, staircase, max_len)
+            for nb in neighbors:
+                if nb not in component:
+                    component.add(nb)
+                    queue.append(nb)
+        seen |= component
+        members = sorted(
+            (w for w in component if len(w) <= max_len), key=lambda w: (len(w), w)
+        )
+        classes.append(tuple(members))
+    return tuple(sorted(classes, key=lambda cls: (len(cls[0]), cls[0])))
+
 
 
 def shapes_up_to(total: int, max_part: int):

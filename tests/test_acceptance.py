@@ -34,7 +34,6 @@ from gallery_crystals import (
     is_isomorphic,
     mv_label,
     normal_form,
-    oracle_plactic_classes,
     phi,
     random_gallery,
     stabilizer_condition,
@@ -45,7 +44,13 @@ from gallery_crystals import (
 )
 from gallery_crystals import affine
 from gallery_crystals.cli import run as cli_run
-from _support import G, plus_simple_root, shapes_up_to, weights_with_dimension_at_most
+from _support import (
+    G,
+    oracle_plactic_classes,
+    plus_simple_root,
+    shapes_up_to,
+    weights_with_dimension_at_most,
+)
 
 
 def criterion(number: int, description: str, budget_seconds: float, body) -> None:

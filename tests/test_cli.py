@@ -18,6 +18,7 @@ import pytest
 from gallery_crystals import DominantWeight, affine, cli, plactic
 from gallery_crystals.affine import AffineRoot, WallCheck, crossing_sets, random_gallery
 from gallery_crystals.cli import run
+from _support import oracle_plactic_classes
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -186,6 +187,17 @@ class TestStructuredOutput:
             set(flattened), key=lambda w: (len(w), w)
         )
         assert [()] in classes
+
+    @pytest.mark.parametrize("rank, max_len", [(2, 10), (3, 6), (4, 4), (6, 3)])
+    def test_oracle_classes_match_the_rewriting_oracle(self, capsys, rank, max_len):
+        code, out, _ = invoke(
+            capsys, "oracle-classes", "--rank", str(rank), "--format", "json",
+            "--max-len", str(max_len),
+        )
+        assert code == 0
+        assert json.loads(out) == [
+            [list(w) for w in cls] for cls in oracle_plactic_classes(max_len, rank)
+        ]
 
     def test_path_json(self, capsys):
         code, out, _ = invoke(capsys, "path", "--rank", "3", "--format", "json", "1,2|1")
@@ -518,6 +530,8 @@ class TestTooLarge:
             # 300 columns of 4,970 affine roots each
             ("crossings", ["--rank", "141", "--format", "json", LONG_COLUMNS]),
             ("blambda", ["--rank", "2", "--lambda", "9999"]),  # 10,000 x 9,999 cells
+            # the word count stops a few terms past the limit
+            ("oracle-classes", ["--rank", "2", "--max-len", "1000000000"]),
         ],
     )
     def test_rejected_up_front(self, capsys, command, argv):
@@ -632,22 +646,25 @@ class TestTooLarge:
         assert code == 0 and out and err == ""
 
     def test_oracle_search_just_past_the_limit_rejected(self, capsys):
-        # 17,780 words visited
-        code, _, err = invoke(capsys, "oracle-classes", "--rank", "3", "--max-len", "6")
-        assert code == 1 and json.loads(err)["error"] == "too-large"
+        # The words up to --max-len letters are counted exactly.
+        for rank, max_len, words in [(3, 9, 29_524), (2, 13, 16_383)]:
+            code, out, err = invoke(
+                capsys, "oracle-classes", "--rank", str(rank), "--max-len", str(max_len)
+            )
+            assert code == 1 and out == ""
+            assert json.loads(err) == {
+                "error": "too-large",
+                "message": f"the request would enumerate {words} words; the limit is 10000",
+            }
 
-    @pytest.mark.parametrize(
-        "rank, max_len", [(1, 5), (2, 9), (2, 10), (3, 4), (4, 3), (4, 4), (5, 2), (7, 0)]
-    )
-    def test_oracle_word_bound_holds(self, monkeypatch, rank, max_len):
-        # The search computes each visited word's Knuth neighbours exactly once.
-        visited = []
-        knuth_neighbors = plactic._knuth_neighbors
-        monkeypatch.setattr(
-            plactic, "_knuth_neighbors", lambda w: visited.append(w) or knuth_neighbors(w)
+    @pytest.mark.parametrize("rank, max_len, words", [(3, 8, 9_841), (2, 12, 8_191)])
+    def test_oracle_search_at_the_limit_runs(self, capsys, rank, max_len, words):
+        code, out, err = invoke(
+            capsys, "oracle-classes", "--rank", str(rank), "--format", "json",
+            "--max-len", str(max_len),
         )
-        plactic.oracle_plactic_classes(max_len, rank)
-        assert len(visited) <= cli._oracle_words(max_len, rank)
+        assert code == 0 and err == ""
+        assert sum(map(len, json.loads(out))) == words
 
 
 def test_closed_stdout_exits_quietly():

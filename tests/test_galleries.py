@@ -224,6 +224,14 @@ class TestRankRule:
         with pytest.raises(InvalidRank, match=f"^rank must be an integer >= 2, got {rank!r}$"):
             parse_word(text, rank)
 
+    @pytest.mark.parametrize(
+        "text, rank", [("1 1", 1.5), ("1|x", 1), ("1", 1), ("", True)], ids=repr
+    )
+    def test_parse_gallery(self, text, rank):
+        # The first two texts are malformed: the rank is checked before them.
+        with pytest.raises(InvalidRank, match=f"^rank must be an integer >= 2, got {rank!r}$"):
+            parse_gallery(text, rank)
+
 
 class TestWord:
     def test_star(self):
@@ -530,7 +538,7 @@ class TestParseGalleryOracle:
             ("2,1|1,2,3", 3),
             ("4|1|1,2,3|0", 3),
             ("1,2,3|1,2,3,4", 3),  # longer than rank before the rank - 1 rule
-            ("1|1", 1),  # rank checked after parsing
+            ("1|1", 1),  # rank checked before parsing
             ("x", 1),
         ]
         for text, rank in cases:

@@ -53,10 +53,11 @@ def test_aliases_are_gone(name):
     assert not hasattr(gallery_crystals, name)
 
 
-@pytest.mark.parametrize("name", ["Tag", "dominance_leq"])
+@pytest.mark.parametrize("name", ["Tag", "dominance_leq", "oracle_plactic_classes"])
 def test_names_for_tests_only_are_gone(name):
-    # i_signature returns its tags as a string ("+-0"), and the dominance
-    # order, which no label can fail, is a test oracle in tests/_support.
+    # i_signature returns its tags as a string ("+-0"); the dominance order,
+    # which no label can fail, and the rewriting search, which normal forms
+    # replace, are test oracles in tests/_support.
     assert not hasattr(gallery_crystals, name)
     assert not hasattr(gallery_crystals.operators, name)
     assert not hasattr(gallery_crystals.galleries, name)

@@ -18,13 +18,12 @@ from gallery_crystals import (
     gallery_from_word,
     is_ssyt,
     normal_form,
-    oracle_plactic_classes,
     parse_word,
     plactic,
     rsk_insert,
     word,
 )
-from _support import G, gallery_universe, transposing_insert
+from _support import G, gallery_universe, oracle_plactic_classes, transposing_insert
 
 
 class TestIsSsyt:
