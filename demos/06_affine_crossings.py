@@ -12,14 +12,13 @@ import random
 from gallery_crystals import (
     Gallery,
     concat,
-    splice_disjointness,
     crossing_sets,
     format_gallery,
     gallery_from_word,
     parse_gallery,
     path_vertices,
     random_gallery,
-    stabilizer_condition,
+    splice_checks,
     weight,
 )
 
@@ -38,18 +37,18 @@ delta = parse_gallery("2,3", 3)
 eta = concat(gamma, concat(staircase, delta))
 k = len(delta.columns)
 print("\nspliced gallery:", format_gallery(eta), " splice starts at segment", k)
-print("disjointness   :", splice_disjointness(gamma, delta))
-print("stabilizer     :", stabilizer_condition(gamma, delta))
+checks = splice_checks(gamma, delta)
+print("disjointness   :", checks[0])
+print("stabilizer     :", checks[1])
 
 rng = random.Random(7)
 trials = 200
 ok = sum(
     1
     for _ in range(trials)
-    if splice_disjointness(g := random_gallery(rng, 3), d := random_gallery(rng, 3)).ok
-    and stabilizer_condition(g, d).ok
+    if all(check.ok for check in splice_checks(random_gallery(rng, 3), random_gallery(rng, 3)))
 )
 print(f"\nrandomized check: {ok}/{trials} pairs satisfy both conditions")
 
 print("\ntrivial splice (both factors empty):",
-      splice_disjointness(Gallery(3), Gallery(3)).ok)
+      splice_checks(Gallery(3), Gallery(3))[0].ok)

@@ -85,8 +85,7 @@ from .affine import (
     WallCheck,
     crossing_sets,
     random_gallery,
-    splice_disjointness,
-    stabilizer_condition,
+    splice_checks,
 )
 
 __version__ = "0.1.0"

@@ -9,8 +9,8 @@ strictly to the positive side:
     S_i = { (alpha, m) : (alpha, gamma_i) = m and (alpha, gamma_{i+1}) > m }.
 
 All levels are computed on the raw partial-sum lift starting at the origin.
-The two splice checks concern eta = gamma * staircase * delta, the word
-1,2,...,n spliced between two galleries: its n staircase segments have
+`splice_checks` answers two wall conditions on eta = gamma * staircase * delta,
+the word 1,2,...,n spliced between two galleries: its n staircase segments have
 pairwise disjoint crossing sets, and every root crossed there sits at a
 level at least its pairing with the splice's start x.  Both follow from the
 structure, so the checks never build eta.  Eta reads delta first, so x is
@@ -78,7 +78,13 @@ class WallCheck(namedtuple("WallCheck", "ok witness", defaults=(None,))):
     __slots__ = ()
 
 
-def _splice_checks(gamma: Gallery, delta: Gallery) -> tuple[WallCheck, WallCheck]:
+def splice_checks(gamma: Gallery, delta: Gallery) -> tuple[WallCheck, WallCheck]:
+    """(disjoint, stabilizer) on eta's n spliced segments.  disjoint: their
+    crossing sets are pairwise disjoint; the witness on failure is (segment_i,
+    segment_j, root) in eta's absolute segment indices.  stabilizer: every root
+    crossed there has level at least its pairing with the splice's start, the
+    membership condition for the start's stabilizer group; the witness on
+    failure is (segment, root)."""
     k, start, segments = _staircase(gamma, delta)
     disjoint = stabilizer = WallCheck(ok=True)
     seen: dict[AffineRoot, int] = {}
@@ -92,28 +98,10 @@ def _splice_checks(gamma: Gallery, delta: Gallery) -> tuple[WallCheck, WallCheck
     return disjoint, stabilizer
 
 
-def splice_disjointness(gamma: Gallery, delta: Gallery) -> WallCheck:
-    """Whether the n spliced segments have pairwise disjoint crossing sets.
-
-    The witness on failure is (segment_i, segment_j, root) using absolute
-    segment indices of the spliced gallery.
-    """
-    return _splice_checks(gamma, delta)[0]
-
-
-def stabilizer_condition(gamma: Gallery, delta: Gallery) -> WallCheck:
-    """Whether every root crossed on the spliced segments has level at least
-    its pairing with the splice's start vertex, the membership condition for
-    the start's stabilizer group.  The witness on failure is (segment, root)."""
-    return _splice_checks(gamma, delta)[1]
-
-
 def random_gallery(rng: random.Random, rank: int, max_columns: int = 4) -> Gallery:
     """A uniform-ish random proper gallery for seeded property checks."""
     _check_rank(rank)
-    num_columns = rng.randint(0, max_columns)
-    columns = []
-    for _ in range(num_columns):
-        length = rng.randint(1, rank - 1)
-        columns.append(tuple(sorted(rng.sample(range(1, rank + 1), length))))
-    return Gallery(rank, tuple(columns))
+    draws = (rng.sample(range(1, rank + 1), rng.randint(1, rank - 1))
+             for _ in range(rng.randint(0, max_columns)))
+    # Sorted samples of 1..rank, each shorter than rank: proper as drawn.
+    return Gallery._unsafe(rank, tuple(tuple(sorted(draw)) for draw in draws))

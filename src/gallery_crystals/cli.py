@@ -40,7 +40,7 @@ from itertools import product
 from math import comb
 
 from . import emit
-from .affine import _splice_checks, random_gallery
+from .affine import random_gallery, splice_checks
 from .errors import GalleryError, ParseError, TooLarge
 from .galleries import (
     DominantWeight,
@@ -202,7 +202,7 @@ def _appendix_check(args) -> dict:
         _check_size((1 + cases) * comb(args.rank, 2), "positive roots")
     gamma = parse_gallery(args.gamma, args.rank)
     delta = parse_gallery(args.delta, args.rank)
-    disjoint, stabilizer = _splice_checks(gamma, delta)
+    disjoint, stabilizer = splice_checks(gamma, delta)
     document = {"disjoint": disjoint.ok, "stabilizer": stabilizer.ok}
     if not disjoint.ok:
         i, j, root = disjoint.witness
@@ -215,7 +215,7 @@ def _appendix_check(args) -> dict:
         failures = 0
         for _ in range(cases):
             g, d = random_gallery(rng, args.rank), random_gallery(rng, args.rank)
-            failures += not all(check.ok for check in _splice_checks(g, d))
+            failures += not all(check.ok for check in splice_checks(g, d))
         document["random_cases"] = cases
         document["random_failures"] = failures
     return document

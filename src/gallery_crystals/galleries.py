@@ -64,9 +64,13 @@ def _check_letters(letters, rank: int) -> None:
             raise LetterOutOfRange(f"letter {a} not in 1..{rank}")
 
 
-def _check_index(i: int, rank: int) -> None:
+def _check_index(i, rank: int) -> int:
+    """The index as a plain int, by the letter rule; one outside 1..rank-1 raises."""
+    if type(i) is not int:
+        (i,) = _plain_ints((i,), IndexOutOfRange, "simple root index")
     if not 1 <= i <= rank - 1:
         raise IndexOutOfRange(f"simple root index {i} not in 1..{rank - 1}")
+    return i
 
 
 _set = object.__setattr__

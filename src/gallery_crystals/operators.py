@@ -76,7 +76,7 @@ def _jump(gallery: Gallery, positions, bumps: _Table) -> Gallery:
 def _move(gallery: Gallery, i: int, k: int) -> Gallery | None:
     """f_i^k for k >= 0, e_i^-k for k < 0, from one scan; None past the string's
     end.  The index is checked even for k = 0."""
-    _check_index(i, gallery.rank)
+    i = _check_index(i, gallery.rank)
     plus, minus = _survivors(gallery, i)
     if not -len(minus) <= k <= len(plus):
         return None

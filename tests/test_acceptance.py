@@ -14,7 +14,6 @@ from collections import Counter
 from gallery_crystals import (
     AffineRoot,
     Gallery,
-    splice_disjointness,
     connected_component,
     count_galleries,
     crossing_sets,
@@ -36,7 +35,7 @@ from gallery_crystals import (
     normal_form,
     phi,
     random_gallery,
-    stabilizer_condition,
+    splice_checks,
     verify_surjectivity,
     weight,
     weyl_dimension,
@@ -158,7 +157,7 @@ def test_criterion_5_crossing_sets(capsys):
             (AffineRoot(2, 3, 0),),
             (),
         )
-        assert splice_disjointness(Gallery(3), Gallery(3)).ok
+        assert all(check.ok for check in splice_checks(Gallery(3), Gallery(3)))
         doc = json.loads(
             cli_output(capsys, "crossings", "--rank", "3", "--format", "json", "3|2|1")
         )
@@ -322,8 +321,7 @@ def splice_pairs():
 def test_criterion_10_splice_properties():
     def body():
         for gamma, delta in splice_pairs():
-            assert splice_disjointness(gamma, delta).ok
-            assert stabilizer_condition(gamma, delta).ok
+            assert all(check.ok for check in splice_checks(gamma, delta))
 
     criterion(10, "splice disjointness and stabilizer checks, exhaustive + random", 60.0, body)
 
@@ -337,5 +335,4 @@ def test_splice_checks_build_no_spliced_gallery(monkeypatch):
     monkeypatch.setattr(affine, "crossing_sets", refuse)
     monkeypatch.setattr(affine, "path_vertices", refuse)
     for gamma, delta in splice_pairs():
-        assert splice_disjointness(gamma, delta).ok
-        assert stabilizer_condition(gamma, delta).ok
+        assert all(check.ok for check in splice_checks(gamma, delta))

@@ -13,13 +13,12 @@ from gallery_crystals import (
     RankMismatch,
     WallCheck,
     WeightVector,
-    splice_disjointness,
     crossing_sets,
     gallery_from_word,
     galleries_of_shape,
     path_vertices,
     random_gallery,
-    stabilizer_condition,
+    splice_checks,
     weight,
 )
 from gallery_crystals import affine
@@ -102,11 +101,10 @@ class TestSplicedGallery:
         assert eta.columns == ((2,), (1,), (2,), (3,), (1,))
 
     def test_rank_mismatch(self):
-        for check in (splice_disjointness, stabilizer_condition):
-            with pytest.raises(RankMismatch):
-                check(G("1", 3), G("1", 4))
-            with pytest.raises(RankMismatch):
-                check(G("1", 4), G("1", 3))
+        with pytest.raises(RankMismatch):
+            splice_checks(G("1", 3), G("1", 4))
+        with pytest.raises(RankMismatch):
+            splice_checks(G("1", 4), G("1", 3))
 
 
 class TestStaircase:
@@ -131,14 +129,14 @@ class TestStaircase:
         segments = ((other,), (shared,), (), (other, shared))
         monkeypatch.setattr(affine, "_staircase", lambda gamma, delta: (5, (0, 0, 0), segments))
         # the first repeat found is other, first seen on segment 5 + 0
-        assert splice_disjointness(Gallery(3), Gallery(3)) == (False, (5, 8, other))
+        assert splice_checks(Gallery(3), Gallery(3))[0] == (False, (5, 8, other))
 
     def test_stabilizer_failure_witness(self, monkeypatch):
         # (e1 - e3, start) = 2 - 0 sits above the level 1; the other pairings are 1
         low = AffineRoot(1, 3, 1)
         segments = ((AffineRoot(1, 2, 1),), (AffineRoot(2, 3, 1), low), ())
         monkeypatch.setattr(affine, "_staircase", lambda gamma, delta: (4, (2, 1, 0), segments))
-        assert stabilizer_condition(Gallery(3), Gallery(3)) == (False, (5, low))
+        assert splice_checks(Gallery(3), Gallery(3))[1] == (False, (5, low))
 
     @pytest.mark.parametrize("later", [(), ((AffineRoot(2, 3, 0),),)])
     def test_one_loop_keeps_each_first_failure(self, monkeypatch, later):
@@ -149,9 +147,7 @@ class TestStaircase:
         segments = ((r12,), (r12, r23), (r12, r13)) + later
         monkeypatch.setattr(affine, "_staircase", lambda gamma, delta: (4, (2, 1, 0), segments))
         checks = (WallCheck(False, (4, 5, r12)), WallCheck(False, (6, r13)))
-        assert affine._splice_checks(Gallery(3), Gallery(3)) == checks
-        assert splice_disjointness(Gallery(3), Gallery(3)) == checks[0]
-        assert stabilizer_condition(Gallery(3), Gallery(3)) == checks[1]
+        assert splice_checks(Gallery(3), Gallery(3)) == checks
 
 
 class TestWeightOfFullColumnWord:
@@ -162,14 +158,13 @@ class TestWeightOfFullColumnWord:
 
 class TestAppendixChecks:
     def test_trivial_pair(self):
-        assert splice_disjointness(Gallery(3), Gallery(3)).ok
-        assert stabilizer_condition(Gallery(3), Gallery(3)).ok
+        assert all(check.ok for check in splice_checks(Gallery(3), Gallery(3)))
 
     def test_single_box_gamma(self):
-        assert splice_disjointness(G("1", 3), Gallery(3)).ok
+        assert all(check.ok for check in splice_checks(G("1", 3), Gallery(3)))
 
     def test_repeated_column_gamma(self):
-        assert stabilizer_condition(G("1|1", 3), Gallery(3)).ok
+        assert all(check.ok for check in splice_checks(G("1|1", 3), Gallery(3)))
 
     def test_exhaustive_one_column_pairs(self):
         rank = 3
@@ -179,8 +174,7 @@ class TestAppendixChecks:
         ]
         for gamma in singles:
             for delta in singles:
-                assert splice_disjointness(gamma, delta).ok
-                assert stabilizer_condition(gamma, delta).ok
+                assert all(check.ok for check in splice_checks(gamma, delta))
 
     @pytest.mark.parametrize("rank", [1, 0, -3, 2.0])
     @pytest.mark.parametrize("seed", range(4))
@@ -196,5 +190,22 @@ class TestAppendixChecks:
         second = [random_gallery(rng, 3) for _ in range(10)]
         assert first == second
         for gamma, delta in zip(first, second):
-            assert splice_disjointness(gamma, delta).ok
-            assert stabilizer_condition(gamma, delta).ok
+            assert all(check.ok for check in splice_checks(gamma, delta))
+
+    @pytest.mark.parametrize("rank", range(2, 9))
+    @pytest.mark.parametrize("max_columns", [4, 8])
+    def test_random_galleries_are_proper(self, rank, max_columns):
+        # random_gallery trusts its own draws; the checking constructor agrees.
+        for seed in range(200):
+            rng = random.Random(seed)
+            for _ in range(2):
+                g = random_gallery(rng, rank, max_columns)
+                assert Gallery(rank, g.columns) == g
+                assert all(type(a) is int for col in g.columns for a in col)
+
+    def test_random_draws_unchanged(self):
+        rng = random.Random(5)
+        assert [str(random_gallery(rng, 4)) for _ in range(10)] == [
+            "1,4|1,3,4|1,2,4|3,4", "1,3|2|1,3,4", "2|4|1", "", "", "2", "1,3",
+            "3|1,4|1,3|1,2,3", "", "1,2,3|1,3",
+        ]

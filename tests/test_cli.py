@@ -786,7 +786,7 @@ class TestGolden:
         # failure fields are reached with stand-in checks.
         root = AffineRoot(1, 3, 2)
         disjoint, stabilizer = WallCheck(False, (0, 2, root)), WallCheck(False, (1, root))
-        monkeypatch.setattr(cli, "_splice_checks", lambda gamma, delta: (disjoint, stabilizer))
+        monkeypatch.setattr(cli, "splice_checks", lambda gamma, delta: (disjoint, stabilizer))
         argv = ("appendix-check", "--rank", "3", "--seed", "5", "--cases", "4")
         assert invoke(capsys, *argv) == (
             0, "disjoint: false\nstabilizer: false\nrandom: 0/4 ok\n", ""

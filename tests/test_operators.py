@@ -2,12 +2,14 @@
 
 import random
 from collections import Counter
+from enum import IntEnum
 
 import pytest
 
 from gallery_crystals import (
     Gallery,
     IndexOutOfRange,
+    WeightVector,
     e,
     epsilon,
     f,
@@ -47,6 +49,37 @@ class TestISignature:
     def test_index_out_of_range(self):
         with pytest.raises(IndexOutOfRange):
             i_signature(G("1", 3), 3)
+
+
+class TestIndexRule:
+    """An index follows the letter rule: anything but an int, or a bool, is refused."""
+
+    CALLS = {
+        "f": lambda i: f(G("1", 3), i),
+        "e": lambda i: e(G("2", 3), i),
+        "epsilon": lambda i: epsilon(G("2", 3), i),
+        "phi": lambda i: phi(G("1", 3), i),
+        "i_signature": lambda i: i_signature(G("1", 3), i),
+        "pairing": lambda i: WeightVector((1, 0, 0)).pairing(i),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    @pytest.mark.parametrize("index", [1.0, 1.5, True, "1", None])
+    def test_non_integer_index_rejected(self, name, index):
+        with pytest.raises(IndexOutOfRange, match="is not an int"):
+            self.CALLS[name](index)
+
+    def test_integer_index_message(self):
+        with pytest.raises(IndexOutOfRange, match=r"^simple root index 3 not in 1\.\.2$"):
+            f(G("1", 3), 3)
+
+    def test_int_subclass_index_stored_as_int(self):
+        class Index(IntEnum):
+            ONE = 1
+
+        assert f(G("1", 3), Index.ONE) == G("2", 3)
+        raised = e(G("2", 3), Index.ONE)
+        assert raised == G("1", 3) and type(raised.columns[0][0]) is int
 
 
 def display_gallery(symbols: str) -> Gallery:

@@ -63,6 +63,25 @@ def test_names_for_tests_only_are_gone(name):
     assert not hasattr(gallery_crystals.galleries, name)
 
 
+@pytest.mark.parametrize("name", ["splice_disjointness", "stabilizer_condition", "_splice_checks"])
+def test_half_splice_checks_are_gone(name):
+    # Each ran the whole staircase loop and kept half of its answer;
+    # splice_checks returns both wall checks from one loop.
+    assert not hasattr(gallery_crystals, name)
+    assert not hasattr(gallery_crystals.affine, name)
+
+
+def test_cli_reads_no_private_affine_name():
+    tree = ast.parse(Path(gallery_crystals.__file__).with_name("cli.py").read_text())
+    imported = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "affine"
+        for alias in node.names
+    ]
+    assert imported and not any(name.startswith("_") for name in imported)
+
+
 @pytest.mark.parametrize("name", ["BrokenColumn"])
 def test_unreachable_errors_are_gone(name):
     # A bumped column holds exactly one of i and i+1, so it always strictly
