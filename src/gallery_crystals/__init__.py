@@ -64,7 +64,6 @@ from .graphs import (
     connected_component,
     count_galleries,
     decompose,
-    dominant_galleries,
     enumerate_ssyt,
     galleries_of_shape,
     highest_weight_crystal,

@@ -9,8 +9,8 @@ domain errors (a machine-readable JSON report goes to stderr), 2 on usage
 errors, and 141 when the reader of standard output goes away, as a process
 killed by SIGPIPE would report.  A request that would enumerate more than
 `SIZE_LIMIT` galleries, crystal vertices, words or roots (positive, or affine
-for `crossings`), or a crystal graph of more than `CELL_LIMIT` cells, fails
-up front with ``too-large``.
+for `crossings`), or more than `CELL_LIMIT` crystal graph cells or path
+coordinates, fails up front with ``too-large``.
 
 Each subcommand is one row of `COMMANDS`: its arguments, a ``compute``
 that parses them and calls the library, and one renderer per --format
@@ -35,9 +35,9 @@ import os
 import random
 import re
 import sys
-from collections import namedtuple
+from collections import Counter, namedtuple
 from itertools import product
-from math import comb
+from math import comb, factorial, prod
 
 from . import emit
 from .affine import random_gallery, splice_checks
@@ -46,6 +46,8 @@ from .galleries import (
     DominantWeight,
     Gallery,
     _check_rank,
+    _commas,
+    _ints,
     concat,
     format_gallery,
     format_word,
@@ -71,12 +73,13 @@ from .plactic import _insert, equivalent, normal_form
 # The most galleries (decompose, image-weights, fiber), crystal vertices
 # (blambda, component), words (oracle-classes), positive roots (any rank) or
 # affine roots in crossing sets (crossings) one request may enumerate; each
-# is counted before any work.
+# is counted, or bounded below, before any work.
 SIZE_LIMIT = 10_000
 # The most cells (vertices times boxes per vertex) of one crystal graph, whose
-# cost grows with both: `blambda --rank 2 --lambda 999`, 1,000 vertices of 999
-# boxes, takes 0.20 s as a subprocess on two Xeon cores with Python 3.11.7 and
-# writes 2 MB of JSON at 30 MB peak RSS; `--lambda 2000`, limit lifted, 0.67 s and 77 MB.
+# cost grows with both, and the most coordinates of one lattice path (path):
+# `blambda --rank 2 --lambda 999`, 1,000 vertices of 999 boxes, takes 0.20 s
+# as a subprocess on two Xeon cores with Python 3.11.7 and writes 2 MB of
+# JSON at 30 MB peak RSS; `--lambda 2000`, limit lifted, 0.67 s and 77 MB.
 CELL_LIMIT = 1_000_000
 
 # An optional minus and ASCII digits: int() alone would also take "+2",
@@ -84,13 +87,18 @@ CELL_LIMIT = 1_000_000
 _INTEGER = re.compile(r"-?[0-9]+")
 
 
-def _check_size(count: int, what: str, limit: int = SIZE_LIMIT) -> None:
+def _check_size(count: int, what: str, limit: int = SIZE_LIMIT, bound: str = "") -> None:
+    # ``bound`` is "at least " where ``count`` is a lower bound; str() writes
+    # at most 4,300 digits by default, so a longer count is given by its bits.
     if count > limit:
-        raise TooLarge(f"the request would enumerate {count} {what}; the limit is {limit}")
+        amount = f"{bound}{count}" if count < 10**4300 else f"at least 2^{count.bit_length() - 1}"
+        raise TooLarge(f"the request would enumerate {amount} {what}; the limit is {limit}")
 
 
 def _check_graph(lam: DominantWeight, boxes: int) -> None:
-    # Every vertex of B(lambda) or of a component has the source's shape.
+    # The top and its f_i^k, k <= m_i, are distinct vertices, a bound taken
+    # before the Weyl product.  Every vertex has the source's shape.
+    _check_size(1 + sum(lam.coeffs), "crystal vertices", bound="at least ")
     vertices = weyl_dimension(lam)
     _check_size(vertices, "crystal vertices")
     _check_size(vertices * boxes, "crystal cells", CELL_LIMIT)
@@ -103,7 +111,7 @@ def _parse_ints(text: str, what: str) -> tuple[int, ...]:
     pieces = [piece.strip() for piece in text.split(",")]
     if not all(_INTEGER.fullmatch(piece) for piece in pieces):
         raise ParseError(f"malformed {what} {text!r}; expected comma-separated integers")
-    return tuple(int(piece) for piece in pieces)
+    return _ints(pieces, what)
 
 
 def _int(text: str) -> int:
@@ -155,7 +163,13 @@ def _oracle_classes(args) -> list:
 
 
 def _component(args) -> dict:
-    source = highest_weight_vertex(_gallery(args))
+    gallery = _gallery(args)
+    # B(lambda)'s weights are closed under permuting coordinates, so the orbit
+    # of the gallery's weight bounds the vertices before the gallery is raised.
+    counts = weight(gallery).counts
+    orbit = factorial(len(counts)) // prod(map(factorial, Counter(counts).values()))
+    _check_size(orbit, "crystal vertices", bound="at least ")
+    source = highest_weight_vertex(gallery)
     _check_graph(weight(source).to_dominant_weight(), sum(source.shape))
     return emit.graph_document(connected_component(source))
 
@@ -193,6 +207,12 @@ def _crossings(args) -> list:
     return emit.crossings_document(gallery)
 
 
+def _path(args) -> dict:
+    gallery = _gallery(args)
+    _check_size((len(gallery.columns) + 1) * gallery.rank, "path coordinates", CELL_LIMIT)
+    return emit.path_document(gallery)
+
+
 def _appendix_check(args) -> dict:
     if args.seed is None and args.cases is not None:
         raise ParseError("--cases counts seeded random pairs; it needs --seed")
@@ -221,17 +241,13 @@ def _appendix_check(args) -> dict:
     return document
 
 
-def _csv(values) -> str:
-    return ",".join(str(v) for v in values)
-
-
 def _bool(value: bool) -> str:
     return "true" if value else "false"
 
 
 def _decompose_text(document: dict) -> list[str]:
     return [f"galleries: {document['total_galleries']}"] + [
-        f"lambda {_csv(entry['lambda'])}: multiplicity {entry['multiplicity']}  "
+        f"lambda {_commas(entry['lambda'])}: multiplicity {entry['multiplicity']}  "
         f"[{', '.join(rep or '(empty)' for rep in entry['representatives'])}]"
         for entry in document["entries"]
     ]
@@ -277,7 +293,7 @@ COMMANDS = (
             _GALLERY_FORMATS),
     Command("weight", "letter multiplicities as a canonical weight vector", (_GALLERY,),
             lambda args: {"counts": list(weight(_gallery(args)).counts)},
-            {"text": lambda doc: [" ".join(str(c) for c in doc["counts"])],
+            {"text": lambda doc: [format_word(doc["counts"])],
              "json": emit.json_lines}),
     Command("dominant", "whether the gallery path stays dominant", (_GALLERY,),
             lambda args: {"dominant": is_dominant(_gallery(args))},
@@ -302,7 +318,7 @@ COMMANDS = (
             {"text": lambda doc: [_bool(doc["equivalent"])], "json": emit.json_lines}),
     Command("oracle-classes", "plactic classes of short words",
             ((("--max-len",), {"type": _count, "required": True}),), _oracle_classes,
-            {"text": lambda classes: [" | ".join(_csv(w) or "-" for w in cls) for cls in classes],
+            {"text": lambda classes: [" | ".join(_commas(w) or "-" for w in c) for c in classes],
              "json": emit.json_lines}),
     Command("component", "connected crystal component of a gallery", (_GALLERY,), _component,
             _GRAPH_FORMATS),
@@ -316,8 +332,8 @@ COMMANDS = (
             {"text": _decompose_text, "json": emit.json_lines}),
     Command("phi", "MV cycle label of a gallery", (_GALLERY,),
             lambda args: emit.label_document(mv_label(_gallery(args))),
-            {"text": lambda doc: [f"lambda {_csv(doc['lambda'])}  tableau {doc['tableau']}  "
-                                  f"mu {_csv(doc['mu'])}"],
+            {"text": lambda doc: [f"lambda {_commas(doc['lambda'])}  tableau {doc['tableau']}  "
+                                  f"mu {_commas(doc['mu'])}"],
              "json": emit.json_lines}),
     Command("fiber", "galleries of a shape mapping to a given label",
             ((("--lambda",), {"dest": "lam", "required": True}),
@@ -327,7 +343,7 @@ COMMANDS = (
     Command("image-weights", "dominant weights hit by a shape, with multiplicities", (_SHAPE,),
             lambda args: [{"lambda": list(lam.coeffs), "multiplicity": mult}
                           for lam, mult in image_weights(_shape(args), args.rank).items()],
-            {"text": lambda doc: [f"{_csv(w['lambda'])} -> {w['multiplicity']}" for w in doc],
+            {"text": lambda doc: [f"{_commas(w['lambda'])} -> {w['multiplicity']}" for w in doc],
              "json": emit.json_lines}),
     Command("crossings", "affine crossing sets along the gallery path", (_GALLERY,),
             _crossings,
@@ -344,9 +360,8 @@ COMMANDS = (
                              "help": "random pairs when --seed is given"})),
             _appendix_check,
             {"text": _appendix_text, "json": emit.json_lines}),
-    Command("path", "lattice path vertices (json) or rank-3 SVG plot", (_GALLERY,),
-            lambda args: emit.path_document(_gallery(args)),
-            {"text": lambda doc: [" ".join(str(c) for c in vertex) for vertex in doc["vertices"]],
+    Command("path", "lattice path vertices (json) or rank-3 SVG plot", (_GALLERY,), _path,
+            {"text": lambda doc: list(map(format_word, doc["vertices"])),
              "json": emit.json_lines, "svg": emit.path_svg}),
 )
 

@@ -338,7 +338,7 @@ class DominantWeight(_Value):
         return tuple(shape)
 
     def __str__(self) -> str:
-        return ",".join(str(m) for m in self.coeffs)
+        return _commas(self.coeffs)
 
 
 def validate_shape(shape, rank: int) -> Shape:
@@ -364,13 +364,22 @@ _TOKEN = re.compile(r"^[0-9]+$")
 _COLUMN = re.compile(r"\s*[0-9]+\s*(?:,\s*[0-9]+\s*)*")
 
 
+def _commas(values) -> str:
+    return ",".join(map(str, values))
+
+
+_column_text = lru_cache(maxsize=4096)(_commas)
+
+
 def format_gallery(gallery: Gallery) -> str:
     return "|".join(map(_column_text, reversed(gallery.columns)))
 
 
-@lru_cache(maxsize=4096)
-def _column_text(column: tuple[int, ...]) -> str:
-    return ",".join(map(str, column))
+def _ints(tokens, what: str) -> tuple[int, ...]:
+    try:  # int() reads at most 4,300 digits by default
+        return tuple(map(int, tokens))
+    except ValueError:
+        raise ParseError(f"{what} has an integer of too many digits") from None
 
 
 def parse_gallery(text: str, rank: int) -> Gallery:
@@ -392,14 +401,14 @@ def parse_gallery(text: str, rank: int) -> Gallery:
         if not _COLUMN.fullmatch(chunk):
             raise ParseError(f"malformed column {chunk!r}")
         # int() alone rejects U+001C..U+001F, which \s and str.strip accept.
-        parsed[chunk] = tuple(map(int, map(str.strip, chunk.split(","))))
+        parsed[chunk] = _ints(map(str.strip, chunk.split(",")), "column")
     columns = tuple(map(parsed.__getitem__, reversed(chunks)))
     Gallery(rank, tuple(dict.fromkeys(columns)))
     return Gallery._unsafe(rank, columns)
 
 
 def format_word(letters) -> str:
-    return " ".join(str(a) for a in letters)
+    return " ".join(map(str, letters))
 
 
 def parse_word(text: str, rank: int) -> Word:
@@ -413,6 +422,6 @@ def parse_word(text: str, rank: int) -> Word:
     if len(tokens) == 1 and len(tokens[0]) > 1 and rank <= 9:
         letters = tuple(int(ch) for ch in tokens[0])
     else:
-        letters = tuple(int(tok) for tok in tokens)
+        letters = _ints(tokens, "word")
     _check_letters(letters, rank)
     return letters

@@ -14,16 +14,17 @@ is the component of the dominant tableau.  `is_isomorphic` numbers each
 graph's vertices by a breadth-first search from its source along the stored
 edges, either way.
 A gallery is a source exactly when its path stays in the dominant chamber,
-so `dominant_galleries` lists the sources of a shape crystal without
-visiting the rest of it, and `decompose` counts them by weight and searches
-no component.  `enumerate_ssyt` lists the vertex set of B(lambda), weighed,
-without any crystal operator, row by row as Gelfand-Tsetlin patterns, and
-serves as the independent check on the crystal side.
+so one depth-first search, `_dominant_galleries`, lists the sources of a
+shape crystal without visiting the rest of it: `decompose` counts them by
+weight and searches no component, and `mv.fiber` keeps those of one weight.
+`enumerate_ssyt` lists the vertex set of B(lambda), weighed, without any
+crystal operator, row by row as Gelfand-Tsetlin patterns, and serves as the
+independent check on the crystal side.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from itertools import combinations, islice, product, repeat
 from math import comb, prod
 from operator import add, getitem, le
@@ -208,25 +209,17 @@ def galleries_of_shape(shape: Shape, rank: int):
         yield Gallery._unsafe(rank, cols)
 
 
-def dominant_galleries(shape: Shape, rank: int):
-    """The galleries of the shape whose path stays dominant, in lexicographic order.
-
-    A depth-first search over the columns in reading order, each column's
-    choices in lexicographic order as in `galleries_of_shape`, that drops a
-    prefix as soon as its last vertex leaves the dominant chamber.  It keeps
-    its own stack, so a shape of any length is searched, lazily.
-    """
-    shape = validate_shape(shape, rank)
-    yield from _dominant_galleries(shape, rank, [len(shape)] * rank)
-
-
 def _dominant_galleries(shape: Shape, rank: int, cap: list[int]):
-    # `dominant_galleries`, also dropping a prefix with more than cap[a - 1]
-    # of a letter a.  ``tallies[a - 1]`` counts a and gives each gallery its
-    # weight at birth.  The stack holds the prefixes still to extend, the
-    # lexicographically least on top, each as (length, last column, tallies);
-    # ``path[1:]`` is the prefix popped last, so a prefix's columns before its
-    # last one are never copied.
+    """The galleries of a validated shape whose path stays dominant, with at
+    most cap[a - 1] of each letter a, in lexicographic order: a depth-first
+    search over the columns in reading order, each column's choices in
+    lexicographic order, that drops a prefix once its last vertex leaves the
+    dominant chamber or passes a cap.  It keeps its own stack, so a shape of
+    any length is searched, lazily.  ``tallies[a - 1]`` counts a and gives
+    each gallery its weight at birth.  The stack holds the prefixes still to
+    extend, the lexicographically least on top, as (length, last column,
+    tallies); ``path[1:]`` is the prefix popped last, so a prefix's columns
+    before its last one are never copied."""
     alphabets = [tuple(combinations(range(1, rank + 1), d)) for d in shape]
     weights = _Table(WeightVector._unsafe)
     path: list = []
@@ -246,8 +239,8 @@ def _dominant_galleries(shape: Shape, rank: int, cap: list[int]):
 
 
 def count_galleries(shape: Shape, rank: int) -> int:
-    shape = validate_shape(shape, rank)
-    return prod(comb(rank, d) for d in shape)
+    shape = validate_shape(shape, rank)  # one power per column length
+    return prod(comb(rank, d) ** k for d, k in Counter(shape).items())
 
 
 DecompositionEntry = namedtuple("DecompositionEntry", "lam multiplicity representatives")
@@ -270,7 +263,7 @@ def decompose(shape: Shape, rank: int) -> Decomposition:
     """
     shape = validate_shape(shape, rank)
     reps: dict[WeightVector, list[Gallery]] = {}
-    for gallery in dominant_galleries(shape, rank):
+    for gallery in _dominant_galleries(shape, rank, [len(shape)] * rank):
         reps.setdefault(weight(gallery), []).append(gallery)
     lams = {mu.to_dominant_weight(): tops for mu, tops in reps.items()}
     entries = tuple(

@@ -459,6 +459,12 @@ class TestStrictNumbers:
             ["decompose", "--rank", "3", "--shape", "1_0"],
             ["blambda", "--rank", "3", "--lambda", "+2,0"],
             ["blambda", "--rank", "3", "--lambda", "\u0661,0"],
+            # int() refuses more than 4,300 digits by default
+            ["validate", "--rank", "3", "1" * 5000],
+            ["word", "--rank", "3", "1" * 5000],
+            ["from-word", "--rank", "10", "1 " + "1" * 5000],
+            ["decompose", "--rank", "3", "--shape", "1" * 5000],
+            ["blambda", "--rank", "3", "--lambda", "9" * 60000 + ",1"],
         ],
     )
     def test_parse_error(self, capsys, argv):
@@ -510,6 +516,8 @@ class TestStrictNumbers:
 class TestTooLarge:
     EIGHT_DOMINOES = "2,2,2,2,2,2,2,2"  # 10^8 galleries at rank 5
     LONG_COLUMNS = "|".join([",".join(map(str, range(1, 71)))] * 300)
+    # 29,999 one-box columns at rank 141, whose weight has a huge orbit
+    RANDOM_BOXES = "|".join(map(str, random.Random(1).choices(range(1, 142), k=29_999)))
 
     @pytest.mark.parametrize(
         "command, argv",
@@ -532,6 +540,13 @@ class TestTooLarge:
             ("blambda", ["--rank", "2", "--lambda", "9999"]),  # 10,000 x 9,999 cells
             # the word count stops a few terms past the limit
             ("oracle-classes", ["--rank", "2", "--max-len", "1000000000"]),
+            # one power per column length, not one factor per column
+            ("decompose", ["--rank", "141", "--shape", ",".join(["70"] * 20_000)]),
+            # the orbit of the weight bounds the vertices before raising
+            ("component", ["--rank", "141", RANDOM_BOXES]),
+            # 1 + sum(m_i) bounds the vertices before the Weyl product
+            ("blambda", ["--rank", "141", "--lambda", ",".join(["9" * 4000] + ["0"] * 139)]),
+            ("blambda", ["--rank", "141", "--lambda", ",".join(["9" * 4000] * 5 + ["0"] * 135)]),
         ],
     )
     def test_rejected_up_front(self, capsys, command, argv):
@@ -540,6 +555,28 @@ class TestTooLarge:
         assert time.perf_counter() - start < 1.0
         assert code == 1 and out == ""
         assert json.loads(err)["error"] == "too-large"
+
+    def test_count_past_str_given_by_bit_length(self, capsys):
+        # comb(141, 70)^200 has 8,255 digits, more than str() writes.
+        argv = ["decompose", "--rank", "141", "--shape", ",".join(["70"] * 200)]
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {
+            "error": "too-large",
+            "message": "the request would enumerate at least 2^27419 galleries; the limit is 10000",
+        }
+
+    def test_path_coordinates_counted(self, capsys):
+        # (columns + 1) x rank coordinates: 7,092 x 141 = 999,972 fit, 7,093 x 141 do not.
+        assert invoke(capsys, "path", "--rank", "141", "|".join(["1"] * 7091))[0] == 0
+        code, out, err = invoke(capsys, "path", "--rank", "141", "|".join(["1"] * 7092))
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {
+            "error": "too-large",
+            "message": "the request would enumerate 1000113 path coordinates; the limit is 1000000",
+        }
+        svg = ["path", "--rank", "3", "--format", "svg", "|".join(["1"] * 65_000)]
+        assert invoke(capsys, *svg)[0] == 0
 
     def test_largest_rank_runs(self, capsys):
         # comb(141, 2) = 9,870 positive roots; comb(142, 2) = 10,011.

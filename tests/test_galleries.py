@@ -27,7 +27,6 @@ from gallery_crystals import (
     connected_component,
     count_galleries,
     decompose,
-    dominant_galleries,
     enumerate_ssyt,
     format_gallery,
     format_word,
@@ -201,8 +200,8 @@ class TestRankRule:
     @pytest.mark.parametrize("rank", [1, 0, -3])
     @pytest.mark.parametrize(
         "function",
-        [galleries_of_shape, dominant_galleries, count_galleries, enumerate_ssyt, decompose,
-         image_weights, verify_surjectivity],
+        [galleries_of_shape, count_galleries, enumerate_ssyt, decompose, image_weights,
+         verify_surjectivity],
         ids=lambda function: function.__name__,
     )
     def test_empty_shape(self, function, rank):

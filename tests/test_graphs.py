@@ -15,7 +15,6 @@ from gallery_crystals import (
     connected_component,
     count_galleries,
     decompose,
-    dominant_galleries,
     e,
     enumerate_ssyt,
     epsilon,
@@ -480,19 +479,21 @@ class TestDecompose:
         assert ((), 2) in cases
         for shape, rank in cases:
             expected = list(filter(is_dominant, galleries_of_shape(shape, rank)))
-            assert list(dominant_galleries(shape, rank)) == expected, (shape, rank)
+            found = graphs._dominant_galleries(shape, rank, [len(shape)] * rank)
+            assert list(found) == expected, (shape, rank)
 
     def test_dominant_galleries_of_a_deep_shape(self):
         # More columns than Python's recursion limit: the search keeps its own stack.
         n = sys.getrecursionlimit() + 100
-        assert next(dominant_galleries((1,) * n, 2)) == Gallery(2, ((1,),) * n)
+        first = next(graphs._dominant_galleries((1,) * n, 2, [n] * 2))
+        assert first == Gallery(2, ((1,),) * n)
 
     def test_dominant_galleries_share_their_prefix(self):
         # A stacked prefix holds only its last column, so the first gallery
         # of a long shape takes memory linear in its length.
         tracemalloc.start()
         try:
-            first = next(dominant_galleries((1,) * 2200, 2))
+            first = next(graphs._dominant_galleries((1,) * 2200, 2, [2200] * 2))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -71,6 +71,18 @@ def test_half_splice_checks_are_gone(name):
     assert not hasattr(gallery_crystals.affine, name)
 
 
+def test_dominant_galleries_wrapper_is_gone():
+    # decompose and fiber both run the one search, graphs._dominant_galleries.
+    assert not hasattr(gallery_crystals, "dominant_galleries")
+    assert not hasattr(gallery_crystals.graphs, "dominant_galleries")
+
+
+def test_cli_defines_no_list_joiner():
+    # Comma and space lists are written by galleries' joiners alone.
+    assert not hasattr(importlib.import_module("gallery_crystals.cli"), "_csv")
+    assert gallery_crystals.galleries._column_text.cache_parameters()["maxsize"] == 4096
+
+
 def test_cli_reads_no_private_affine_name():
     tree = ast.parse(Path(gallery_crystals.__file__).with_name("cli.py").read_text())
     imported = [
