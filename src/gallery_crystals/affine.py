@@ -29,7 +29,7 @@ import random
 from collections import namedtuple
 
 from .errors import RankMismatch
-from .galleries import Gallery, _check_rank, path_vertices, weight
+from .galleries import Gallery, _check_rank, _Table, path_vertices, weight
 
 
 class AffineRoot(namedtuple("AffineRoot", "a b level")):
@@ -42,11 +42,14 @@ class AffineRoot(namedtuple("AffineRoot", "a b level")):
         return point[self.a - 1] - point[self.b - 1]
 
 
-def _crossed(cur, col, n: int) -> tuple[AffineRoot, ...]:
-    # The one crossing rule: the segment from ``cur`` that adds ``col`` crosses
-    # (a, b) for a in the column and b > a not in it, at level cur_a - cur_b.
-    return tuple(AffineRoot(a, b, cur[a - 1] - cur[b - 1])
-                 for a in col for b in range(a + 1, n + 1) if b not in col)
+def _pairs(col, n: int) -> tuple[tuple[int, int], ...]:
+    # The one crossing rule: the segment that adds ``col`` crosses (a, b) for a
+    # in the column and b > a not in it, at level cur_a - cur_b from its start cur.
+    return tuple((a, b) for a in col for b in range(a + 1, n + 1) if b not in col)
+
+
+def _roots(cur, pairs) -> tuple[AffineRoot, ...]:
+    return tuple(AffineRoot(a, b, cur[a - 1] - cur[b - 1]) for a, b in pairs)
 
 
 def crossing_sets(gallery: Gallery) -> tuple[tuple[AffineRoot, ...], ...]:
@@ -57,7 +60,8 @@ def crossing_sets(gallery: Gallery) -> tuple[tuple[AffineRoot, ...], ...]:
     column and b is not; the level is the pairing at the segment's start.
     """
     n = gallery.rank
-    return tuple(_crossed(cur, col, n)
+    pairs = _Table(lambda col: _pairs(col, n))
+    return tuple(_roots(cur, pairs[col])
                  for cur, col in zip(path_vertices(gallery), gallery.columns))
 
 
@@ -69,7 +73,7 @@ def _staircase(gamma: Gallery, delta: Gallery) -> tuple:
     if gamma.rank != delta.rank:
         raise RankMismatch(f"ranks {gamma.rank} and {delta.rank} differ")
     n, x = delta.rank, weight(delta).counts
-    return len(delta.columns), x, tuple(_crossed(x, (j,), n) for j in range(1, n + 1))
+    return len(delta.columns), x, tuple(_roots(x, _pairs((j,), n)) for j in range(1, n + 1))
 
 
 class WallCheck(namedtuple("WallCheck", "ok witness", defaults=(None,))):

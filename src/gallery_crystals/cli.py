@@ -198,7 +198,8 @@ def _crossing_roots(gallery: Gallery) -> int:
     # The affine roots `crossing_sets` lists: a column crosses (a, b) for each
     # a in it and b > a not in it, so n - a per letter a, less C(|col|, 2).
     n = gallery.rank
-    return sum(sum(n - a for a in col) - comb(len(col), 2) for col in gallery.columns)
+    return sum(k * (sum(n - a for a in col) - comb(len(col), 2))
+               for col, k in Counter(gallery.columns).items())
 
 
 def _crossings(args) -> list:
@@ -351,7 +352,7 @@ COMMANDS = (
                 f"segment {s['segment']}: "
                 + (" ".join(f"({r['a']},{r['b']};{r['m']})" for r in s["roots"]) or "-")
                 for s in doc
-            ], "json": emit.json_lines}),
+            ], "json": emit.crossings_json}),
     Command("appendix-check", "staircase splice wall checks",
             ((("--gamma",), {"default": ""}), (("--delta",), {"default": ""}),
              (("--seed",), {"type": _int, "default": None,

@@ -1,10 +1,12 @@
 """Documents and their renderers: JSON, text, DOT graphs and SVG path plots.
 
 Each ``*_document`` function turns a result into plain lists, dicts, strings
-and ints once; the renderers (`json_lines`, `graph_text`, `graph_dot`,
-`path_svg`) take a document and return output lines.  `json_lines` writes
-the bytes of ``json.dumps(document, indent=2)`` from C-escaped leaves, not
-through the pure-Python encoder that json.dumps runs when given an indent.
+and ints once; the renderers (`json_lines`, `crossings_json`, `graph_text`,
+`graph_dot`, `path_svg`) take a document and return output lines.
+`json_lines` writes the bytes of ``json.dumps(document, indent=2)`` from
+C-escaped leaves, not through the pure-Python encoder that json.dumps runs
+when given an indent; `crossings_json` writes the same bytes for a crossings
+document by its fixed layout, one f-string per root.
 All output is deterministic: vertex orders are canonical, keys are written
 in a fixed order, and floating point output is formatted with a fixed
 precision.  SVG rendering is only defined for rank 3, where the three
@@ -15,11 +17,11 @@ from __future__ import annotations
 
 import json
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter
+from operator import attrgetter, mul
 
 from .errors import SvgRankUnsupported
-from .affine import crossing_sets
-from .galleries import Gallery, format_gallery, path_vertices
+from .affine import _pairs
+from .galleries import Gallery, _path, _Table, format_gallery, path_vertices
 from .graphs import CrystalGraph, Decomposition
 from .mv import MVLabel
 
@@ -114,13 +116,25 @@ def root_document(root) -> dict:
 
 
 def crossings_document(gallery: Gallery) -> list:
+    """`crossing_sets`, read off the path with one pair list per distinct column."""
+    n = gallery.rank
+    pairs = _Table(lambda col: _pairs(col, n))
     return [
-        {
-            "segment": k,
-            "roots": list(map(root_document, segment)),
-        }
-        for k, segment in enumerate(crossing_sets(gallery))
+        {"segment": k, "roots": [{"a": a, "b": b, "m": cur[a - 1] - cur[b - 1]}
+                                 for a, b in pairs[col]]}
+        for k, (cur, col) in enumerate(zip(_path(gallery), gallery.columns))
     ]
+
+
+def crossings_json(document: list) -> list[str]:
+    """`json_lines` of a crossings document, by its fixed layout."""
+    segments = []
+    for s in document:
+        roots = ",".join([f'\n      {{\n        "a": {r["a"]},\n        "b": {r["b"]},\n'
+                          f'        "m": {r["m"]}\n      }}' for r in s["roots"]])
+        roots = f"[{roots}\n    ]" if roots else "[]"
+        segments.append(f'\n  {{\n    "segment": {s["segment"]},\n    "roots": {roots}\n  }}')
+    return [f"[{','.join(segments)}\n]" if segments else "[]"]
 
 
 def path_document(gallery: Gallery) -> dict:
@@ -137,12 +151,11 @@ _DIRECTIONS = (
     (-1.0, 0.0),  # epsilon_2 at 180 degrees
     (0.5, -0.8660254037844386),  # epsilon_3 at 300 degrees
 )
+_XS, _YS = zip(*_DIRECTIONS)
 
 
 def _project(point: list[int]) -> tuple[float, float]:
-    x = sum(c * d[0] for c, d in zip(point, _DIRECTIONS))
-    y = sum(c * d[1] for c, d in zip(point, _DIRECTIONS))
-    return x, y
+    return sum(map(mul, point, _XS)), sum(map(mul, point, _YS))
 
 
 def path_svg(document: dict) -> list[str]:

@@ -50,11 +50,11 @@ class MVLabel(_Value):
             raise InvalidLabel("weight and tableau ranks differ")
         if not is_ssyt(tableau):
             raise InvalidLabel(f"{tableau} is not a semistandard Young tableau")
-        if tableau.shape != lam.column_shape():
-            raise InvalidLabel(
-                f"tableau shape {tableau.shape} does not match "
-                f"underline(lambda) = {lam.column_shape()}"
-            )
+        # An SSYT's column lengths increase, so the count of each length fixes
+        # its shape: compared with m_1, m_2, ..., without listing underline(lambda).
+        if tuple(map(tableau.shape.count, range(1, lam.rank))) != lam.coeffs:
+            raise InvalidLabel(f"tableau shape {tableau.shape} is not underline(lambda) "
+                               f"for lambda = {lam}")
         _set(self, "mu", weight(tableau))
         self._freeze(lam, tableau)
 
@@ -62,10 +62,8 @@ class MVLabel(_Value):
 def mv_label(gallery: Gallery) -> MVLabel:
     """The label of the gallery: lambda from the normal form's shape."""
     tableau = normal_form(gallery)
-    coeffs = [0] * (gallery.rank - 1)
-    for col in tableau.columns:
-        coeffs[len(col) - 1] += 1
-    return MVLabel(lam=DominantWeight(tuple(coeffs)), tableau=tableau)
+    coeffs = tuple(map(tableau.shape.count, range(1, gallery.rank)))
+    return MVLabel(lam=DominantWeight(coeffs), tableau=tableau)
 
 
 def fiber(label: MVLabel, shape: Shape, rank: int | None = None) -> tuple[Gallery, ...]:

@@ -312,6 +312,20 @@ class TestErrorsAndDeterminism:
             "error": "parse-error", "message": f"lambda has {count} coordinates; rank 3 needs 2"
         }
 
+    @pytest.mark.parametrize("lam", ["0,1", "1000000,0"])
+    def test_invalid_label_report_is_bounded(self, capsys, lam):
+        # The label check counts the tableau's column lengths against lambda
+        # and writes lambda, never listing underline(lambda)'s m_1 + m_2 columns.
+        start = time.perf_counter()
+        argv = ("fiber", "--rank", "3", "--lambda", lam, "--tableau", "1", "--shape", "1")
+        code, out, err = invoke(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and out == "" and len(err) < 1024
+        assert json.loads(err) == {
+            "error": "invalid-label",
+            "message": f"tableau shape (1,) is not underline(lambda) for lambda = {lam}",
+        }
+
     def test_usage_error(self, capsys):
         assert invoke(capsys, "word", "3|1,2|5|2")[0] == 2  # missing --rank
 

@@ -8,8 +8,15 @@ import pytest
 
 from gallery_crystals import cli
 from gallery_crystals.cli import run
-from gallery_crystals.emit import graph_document, json_lines
-from gallery_crystals.galleries import format_gallery, parse_gallery
+from gallery_crystals.affine import crossing_sets, random_gallery
+from gallery_crystals.emit import (
+    crossings_document,
+    crossings_json,
+    graph_document,
+    json_lines,
+    root_document,
+)
+from gallery_crystals.galleries import Gallery, format_gallery, parse_gallery
 from gallery_crystals.graphs import CrystalGraph, connected_component
 
 from test_cli import GOLDEN_REQUESTS
@@ -81,6 +88,27 @@ def test_graph_document_orders_mixed_shapes_by_shape_then_columns():
 def test_unwritable_documents_raise(document):
     with pytest.raises(TypeError):
         json_lines(document)
+
+
+def crossings_galleries():
+    rng = random.Random(31)
+    for rank in range(2, 10):
+        yield from (random_gallery(rng, rank, max_columns=30) for _ in range(30))
+    yield from (random_gallery(rng, 141) for _ in range(3))
+    yield Gallery(3)
+    yield parse_gallery("2|2|2", 2)  # columns 2 at rank 2 cross nothing
+
+
+def test_crossings_document_and_json_match_crossing_sets():
+    # The document is read off the path with one pair list per distinct
+    # column; crossing_sets and the generic writer are its oracles.
+    for gallery in crossings_galleries():
+        document = crossings_document(gallery)
+        assert document == [
+            {"segment": k, "roots": list(map(root_document, segment))}
+            for k, segment in enumerate(crossing_sets(gallery))
+        ], format_gallery(gallery)
+        assert crossings_json(document) == [json.dumps(document, indent=2)]
 
 
 # One request for each kind of JSON document the CLI writes.

@@ -65,6 +65,14 @@ class TestMvLabel:
         with pytest.raises(InvalidLabel):
             MVLabel(DominantWeight((2, 0)), G("2|1", 3))  # not an SSYT
 
+    def test_shape_checked_by_column_counts(self):
+        # underline(10^12, 0) has 10^12 columns; the check never lists them.
+        with pytest.raises(InvalidLabel, match=r"lambda = 1000000000000,0$"):
+            MVLabel(DominantWeight((10**12, 0)), G("1", 3))
+        # A zero coordinate counts no columns of its length.
+        label = MVLabel(DominantWeight((0, 1, 2)), G("1,2,3|1,2,3|1,2", 4))
+        assert label.mu.counts == (3, 3, 2, 0)
+
     def test_rank_mismatch(self):
         with pytest.raises(InvalidLabel, match="ranks differ"):
             MVLabel(DominantWeight((1,)), G("1", 3))
