@@ -29,7 +29,7 @@ import random
 from collections import namedtuple
 
 from .errors import RankMismatch
-from .galleries import Gallery, _check_rank, _Table, path_vertices, weight
+from .galleries import Gallery, _check_rank, path_vertices, weight
 
 
 class AffineRoot(namedtuple("AffineRoot", "a b level")):
@@ -60,8 +60,7 @@ def crossing_sets(gallery: Gallery) -> tuple[tuple[AffineRoot, ...], ...]:
     column and b is not; the level is the pairing at the segment's start.
     """
     n = gallery.rank
-    pairs = _Table(lambda col: _pairs(col, n))
-    return tuple(_roots(cur, pairs[col])
+    return tuple(_roots(cur, _pairs(col, n))
                  for cur, col in zip(path_vertices(gallery), gallery.columns))
 
 
