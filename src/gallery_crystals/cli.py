@@ -77,9 +77,9 @@ from .plactic import _insert, equivalent, normal_form
 SIZE_LIMIT = 10_000
 # The most cells (vertices times boxes per vertex) of one crystal graph, whose
 # cost grows with both, and the most coordinates of one lattice path (path):
-# `blambda --rank 2 --lambda 999`, 1,000 vertices of 999 boxes, takes 0.20 s
+# `blambda --rank 2 --lambda 999`, 1,000 vertices of 999 boxes, takes 0.24 s
 # as a subprocess on two Xeon cores with Python 3.11.7 and writes 2 MB of
-# JSON at 30 MB peak RSS; `--lambda 2000`, limit lifted, 0.67 s and 77 MB.
+# JSON at 31 MB peak RSS; `--lambda 2000`, limit lifted, 0.86 s and 78 MB.
 CELL_LIMIT = 1_000_000
 
 # An optional minus and ASCII digits: int() alone would also take "+2",

@@ -151,12 +151,12 @@ class Gallery(_Value):
         self._freeze(rank, cols)
 
     @classmethod
-    def _unsafe(cls, rank: int, columns: tuple[tuple[int, ...], ...], mu=None) -> "Gallery":
-        # Fast path from already-validated columns, with their weight if known.
+    def _unsafe(cls, rank: int, columns: tuple, mu=None, h=None) -> "Gallery":
+        # Fast path from validated columns, with their weight and hash((rank, columns)) if known.
         obj = object.__new__(cls)
         _set_rank(obj, rank)
         _set_columns(obj, columns)
-        _set_hash(obj, hash((rank, columns)))
+        _set_hash(obj, hash((rank, columns)) if h is None else h)
         if mu is not None:
             _set_weight(obj, mu)
         return obj

@@ -9,10 +9,10 @@ vertex's weight.
 `connected_component` raises a gallery to that source and generates the
 component from it by `_walk`, a breadth-first search that lists each
 i-string down from its top (one signature scan, each column bumped once per
-walk) and gives each vertex its weight from that top; `highest_weight_crystal`
-is the component of the dominant tableau.  `is_isomorphic` numbers each
-graph's vertices by a breadth-first search from its source along the stored
-edges, either way.
+walk), makes one gallery per vertex and gives each its weight from that top;
+`highest_weight_crystal` is the component of the dominant tableau.
+`is_isomorphic` numbers each graph's vertices by a breadth-first search from
+its source along the stored edges, either way.
 A gallery is a source exactly when its path stays in the dominant chamber,
 so one depth-first search, `_dominant_galleries`, lists the sources of a
 shape crystal without visiting the rest of it: `decompose` counts them by
@@ -25,7 +25,7 @@ independent check on the crystal side.
 from __future__ import annotations
 
 from collections import Counter, namedtuple
-from itertools import combinations, islice, product, repeat
+from itertools import combinations, islice, product
 from math import comb, prod
 from operator import add, getitem, le
 
@@ -69,25 +69,24 @@ def canonical_dominant_gallery(lam: DominantWeight) -> Gallery:
     return Gallery(lam.rank, tuple(full[d] for d in lam.column_shape()))
 
 
-def _walk(source: Gallery) -> tuple[dict[Gallery, int], list, list]:
+def _walk(source: Gallery) -> tuple[list[Gallery], list, list]:
     """Breadth-first search from a source: at each vertex v in visiting order
     that tops a nontrivial i-string (epsilon_i = 0 < phi_i), i = 1..rank-1,
-    `_string` lists it top to bottom from one scan through the walk's table
-    for i, which makes each column once, each consecutive pair (u, w) an edge
-    (u, w, i); a vertex listed below a top skips the scan for i.  Tops reach
-    every vertex: each w but the source has some epsilon_i(w) > 0, the top of
-    its i-string lies fewer lowering steps from the source, so by induction
-    on that depth the top is reached, visited and lists the string.
-    A string member already reached is replaced by the vertex object listed
-    first before the edges are recorded, so each vertex is one object, which
-    the edges share, and the duplicate is freed at once.
-    Returns the visiting number of each vertex reached (a dict, so that
-    ``frozenset(index)`` reuses its stored hashes), the edges, and for each
-    later vertex a birth record (k, i, place): it is f_i^place of vertex k.
+    `_string` yields the columns below it from one scan through the walk's
+    table for i, which makes each column once, each consecutive pair (u, w)
+    an edge (u, w, i); a vertex listed below a top skips the scan for i.  Tops
+    reach every vertex: each w but the source has some epsilon_i(w) > 0, the
+    top of its i-string lies fewer lowering steps from the source, so by
+    induction on that depth the top is reached, visited and lists the string.
+    The index keys a vertex by h = hash((rank, columns)), which its gallery
+    stores, or by its columns if another vertex holds h; only a vertex not
+    yet reached becomes a gallery, given h, so each vertex is one object.
+    Returns the vertices in visiting order, the edges, and for each later
+    vertex a birth record (k, i, place): it is f_i^place of vertex k.
     """
     rank, made = source.rank, dict(zip(source.columns, source.columns))
     tables = [_bumps(i, i + 1, made) for i in range(rank)]
-    index = {source: 0}
+    index = {hash(source): 0}
     order = [source]
     listed = [0]  # bit i of listed[k]: the i-string through order[k] is listed
     edges, births = [], []
@@ -98,19 +97,24 @@ def _walk(source: Gallery) -> tuple[dict[Gallery, int], list, list]:
             plus, minus = _survivors(v, i)
             if minus or not plus:
                 continue
-            string = _string(v, plus, tables[i])
-            for place, w in enumerate(string[1:], 1):
-                number = index.get(w)
+            u = v
+            for place, columns in enumerate(_string(v, plus, tables[i]), 1):
+                key = h = hash((rank, columns))
+                number = index.get(h)
+                if number is not None and order[number].columns != columns:
+                    key = columns  # another vertex holds the hash
+                    number = index.get(key)
                 if number is None:
-                    index[w] = len(order)
-                    order.append(w)
+                    index[key] = number = len(order)
+                    order.append(Gallery._unsafe(rank, columns, None, h))
                     listed.append(1 << i)
                     births.append((k, i, place))
                 else:
                     listed[number] |= 1 << i
-                    string[place] = order[number]
-            edges += zip(string, string[1:], repeat(i))
-    return index, edges, births
+                w = order[number]
+                edges.append((u, w, i))
+                u = w
+    return order, edges, births
 
 
 def connected_component(gallery: Gallery) -> CrystalGraph:
@@ -122,15 +126,15 @@ def connected_component(gallery: Gallery) -> CrystalGraph:
     object, which its edges share.
     """
     source = highest_weight_vertex(gallery)
-    index, edges, births = _walk(source)
+    order, edges, births = _walk(source)
     tallies, weights = [weight(source).counts], _Table(WeightVector._unsafe)
-    for w, (k, i, place) in zip(islice(index, 1, None), births):
+    for w, (k, i, place) in zip(islice(order, 1, None), births):
         counts = list(tallies[k])
         counts[i - 1] -= place
         counts[i] += place
         tallies.append(tuple(counts))
         _set_weight(w, weights[tallies[-1]])
-    return CrystalGraph(source.rank, frozenset(index), frozenset(edges))
+    return CrystalGraph(source.rank, order, edges)
 
 
 def highest_weight_crystal(lam: DominantWeight) -> CrystalGraph:

@@ -116,9 +116,9 @@ def verify_surjectivity(shape: Shape, rank: int) -> SurjectivityReport:
     misses: list[tuple[DominantWeight, Gallery]] = []
     checked = 0
     for entry in decompose(shape, rank).entries:
-        index, _, _ = _walk(entry.representatives[0])
+        order, _, _ = _walk(entry.representatives[0])
         underline = entry.lam.column_shape()
-        hit = {t for t in map(normal_form, index) if t.shape == underline}
+        hit = {t for t in map(normal_form, order) if t.shape == underline}
         dimension = weyl_dimension(entry.lam)
         checked += dimension
         if len(hit) < dimension:

@@ -15,8 +15,9 @@ empty stack and never popped; bumped to a "-", it meets that empty stack and
 survives, every later column is matched as before, and so the next "+" is first.
 So `_move` (one scan, one column copy) serves `e`, `f`, ``apply --times`` and
 `fiber`'s replay of the jumps by which `_raise_to_source` climbs whole strings,
-and `_string`, bumping down only, lists each string of the crystal walk from
-its top; all three bump each column once, through a `_bumps` table.
+and `_string`, bumping down only, yields the columns of each string of the
+crystal walk from its top; all three bump each column once, through a
+`_bumps` table.
 """
 
 from __future__ import annotations
@@ -110,14 +111,14 @@ def e(gallery: Gallery, i: int) -> Gallery | None:
     return _move(gallery, i, -1)
 
 
-def _string(top: Gallery, plus, down: _Table) -> list[Gallery]:
-    """The i-string top to bottom from its top (no minus survives) and its plus survivors."""
-    rank, columns, unsafe = top.rank, list(top.columns), Gallery._unsafe
-    string = [top]
+def _string(top: Gallery, plus, down: _Table):
+    """Yield the columns of the i-string's members below its top (no minus
+    survives), top to bottom, from the top's plus survivors; no gallery is
+    made.  One at a time, so that the caller hashes each while it is in cache."""
+    columns = list(top.columns)
     for pos in plus:
         columns[pos] = down[columns[pos]]
-        string.append(unsafe(rank, tuple(columns)))
-    return string
+        yield tuple(columns)
 
 
 def epsilon(gallery: Gallery, i: int) -> int:

@@ -271,7 +271,7 @@ class TestStringsFromTops:
 
 
 class TestOneObjectPerVertex:
-    """The walk keeps the first object of each vertex, and the edges share it."""
+    """The walk makes one object per vertex, and the edges share it."""
 
     NOT_A_SOURCE = G("3|1,2|4|2|3|1", 4)
 
@@ -289,6 +289,45 @@ class TestOneObjectPerVertex:
         ids = {id(v) for v in graph.vertices}
         assert len(ids) == len(graph)
         assert all(id(u) in ids and id(v) in ids for u, v, _ in graph.edges)
+
+    @pytest.mark.parametrize("coeffs", [(3, 2), (1, 1, 1), (20, 20)])
+    def test_one_gallery_per_vertex(self, coeffs, monkeypatch):
+        # Only a vertex not yet reached becomes a gallery, and the source is
+        # given: B(lambda) makes |V| - 1 of them, not one per string member.
+        made = []
+        unsafe = Gallery._unsafe
+
+        def counted(*args):
+            made.append(args)
+            return unsafe(*args)
+
+        monkeypatch.setattr(Gallery, "_unsafe", staticmethod(counted))
+        crystal = highest_weight_crystal(DominantWeight(coeffs))
+        assert len(made) == len(crystal) - 1
+
+    @pytest.mark.parametrize("case", [DominantWeight((2, 1, 1)), NOT_A_SOURCE], ids=str)
+    def test_stored_hash_matches_the_constructor(self, case):
+        # The walk hands each new vertex the hash it looked it up by; a wrong
+        # one would break set lookups without a word.
+        for v in crystal_of(case).vertices:
+            assert hash(v) == hash(Gallery(v.rank, v.columns)), v
+
+    @pytest.mark.parametrize(
+        "case", [DominantWeight((3, 2)), DominantWeight((1, 1, 1)), NOT_A_SOURCE], ids=str
+    )
+    def test_hash_clash_falls_back_to_columns(self, case, monkeypatch):
+        # With one hash for every vertex, each lookup in the walk's index
+        # clashes, and the columns must key the vertices.  The patched walk
+        # stores the fake hash, so the graphs are compared by columns.
+        def described(graph):
+            return (
+                {v.columns: weight(v) for v in graph.vertices},
+                {(u.columns, v.columns, i) for u, v, i in graph.edges},
+            )
+
+        expected = described(crystal_of(case))
+        monkeypatch.setattr(graphs, "hash", lambda value: 0, raising=False)
+        assert described(crystal_of(case)) == expected
 
 
 class TestSharedColumns:

@@ -190,7 +190,8 @@ class TestEpsilonPhi:
 
 class TestString:
     def test_matches_single_steps(self):
-        # One scan of its top lists the i-string that single e/f steps walk.
+        # One scan of its top lists the columns of the i-string below it,
+        # which single e/f steps walk.
         rng = random.Random(1414)
         for _ in range(400):
             rank = rng.randint(2, 6)
@@ -206,9 +207,9 @@ class TestString:
                 while (lowered := f(chain[-1], i)) is not None:
                     chain.append(lowered)
                 top = chain[0]
-                string = _string(top, _survivors(top, i)[0], _bumps(i, i + 1, {}))
-                assert string == chain
-                assert len(string) == epsilon(g, i) + phi(g, i) + 1
+                string = list(_string(top, _survivors(top, i)[0], _bumps(i, i + 1, {})))
+                assert [top.columns, *string] == [g.columns for g in chain]
+                assert len(string) == epsilon(g, i) + phi(g, i)
 
 
 def seeded_galleries(seed: int, count: int):
