@@ -26,10 +26,11 @@ both checks, and each keeps its first failure.
 from __future__ import annotations
 
 import random
-from collections import namedtuple
+from collections import Counter, namedtuple
+from math import comb
 
 from .errors import RankMismatch
-from .galleries import Gallery, _check_rank, path_vertices, weight
+from .galleries import Gallery, _check_rank, _path, _Table, weight
 
 
 class AffineRoot(namedtuple("AffineRoot", "a b level")):
@@ -42,14 +43,26 @@ class AffineRoot(namedtuple("AffineRoot", "a b level")):
         return point[self.a - 1] - point[self.b - 1]
 
 
+# Makes each root from (a, b, level) without AffineRoot's Python-level __new__.
+_new = tuple.__new__
+
+
 def _pairs(col, n: int) -> tuple[tuple[int, int], ...]:
     # The one crossing rule: the segment that adds ``col`` crosses (a, b) for a
     # in the column and b > a not in it, at level cur_a - cur_b from its start cur.
     return tuple((a, b) for a in col for b in range(a + 1, n + 1) if b not in col)
 
 
+def _crossing_roots(gallery: Gallery) -> int:
+    # How many roots `crossing_sets` lists, without listing them: by the rule of
+    # `_pairs`, n - a per letter a of a column, less C(|col|, 2).
+    n = gallery.rank
+    return sum(k * (sum(n - a for a in col) - comb(len(col), 2))
+               for col, k in Counter(gallery.columns).items())
+
+
 def _roots(cur, pairs) -> tuple[AffineRoot, ...]:
-    return tuple(AffineRoot(a, b, cur[a - 1] - cur[b - 1]) for a, b in pairs)
+    return tuple([_new(AffineRoot, (a, b, cur[a - 1] - cur[b - 1])) for a, b in pairs])
 
 
 def crossing_sets(gallery: Gallery) -> tuple[tuple[AffineRoot, ...], ...]:
@@ -58,10 +71,11 @@ def crossing_sets(gallery: Gallery) -> tuple[tuple[AffineRoot, ...], ...]:
     A segment adds one to each coordinate in its column, so the pairing
     with epsilon_a - epsilon_b (a < b) rises exactly when a is in the
     column and b is not; the level is the pairing at the segment's start.
+    Each distinct column's pairs are listed once per call.
     """
     n = gallery.rank
-    return tuple(_roots(cur, _pairs(col, n))
-                 for cur, col in zip(path_vertices(gallery), gallery.columns))
+    pairs = _Table(lambda col: _pairs(col, n))
+    return tuple(_roots(cur, pairs[col]) for cur, col in zip(_path(gallery), gallery.columns))
 
 
 def _staircase(gamma: Gallery, delta: Gallery) -> tuple:

@@ -40,7 +40,7 @@ from itertools import product
 from math import comb, factorial, prod
 
 from . import emit
-from .affine import random_gallery, splice_checks
+from .affine import _crossing_roots, crossing_sets, random_gallery, splice_checks
 from .errors import GalleryError, ParseError, TooLarge
 from .galleries import (
     DominantWeight,
@@ -194,18 +194,10 @@ def _fiber(args) -> dict:
     return {"fiber": [format_gallery(g) for g in fiber(label, _shape(args), args.rank)]}
 
 
-def _crossing_roots(gallery: Gallery) -> int:
-    # The affine roots `crossing_sets` lists: a column crosses (a, b) for each
-    # a in it and b > a not in it, so n - a per letter a, less C(|col|, 2).
-    n = gallery.rank
-    return sum(k * (sum(n - a for a in col) - comb(len(col), 2))
-               for col, k in Counter(gallery.columns).items())
-
-
-def _crossings(args) -> list:
+def _crossings(args) -> tuple:
     gallery = _gallery(args)
     _check_size(_crossing_roots(gallery), "affine roots")
-    return emit.crossings_document(gallery)
+    return crossing_sets(gallery)
 
 
 def _path(args) -> dict:
@@ -348,10 +340,9 @@ COMMANDS = (
              "json": emit.json_lines}),
     Command("crossings", "affine crossing sets along the gallery path", (_GALLERY,),
             _crossings,
-            {"text": lambda doc: [
-                f"segment {s['segment']}: "
-                + (" ".join(f"({r['a']},{r['b']};{r['m']})" for r in s["roots"]) or "-")
-                for s in doc
+            {"text": lambda segments: [
+                f"segment {k}: " + (" ".join([f"({a},{b};{m})" for a, b, m in roots]) or "-")
+                for k, roots in enumerate(segments)
             ], "json": emit.crossings_json}),
     Command("appendix-check", "staircase splice wall checks",
             ((("--gamma",), {"default": ""}), (("--delta",), {"default": ""}),

@@ -1,12 +1,12 @@
 """Documents and their renderers: JSON, text, DOT graphs and SVG path plots.
 
 Each ``*_document`` function turns a result into plain lists, dicts, strings
-and ints once; the renderers (`json_lines`, `crossings_json`, `graph_text`,
-`graph_dot`, `path_svg`) take a document and return output lines.
+and ints once; the renderers (`json_lines`, `graph_text`, `graph_dot`,
+`path_svg`) take a document and return output lines.
 `json_lines` writes the bytes of ``json.dumps(document, indent=2)`` from
 C-escaped leaves, not through the pure-Python encoder that json.dumps runs
-when given an indent; `crossings_json` writes the same bytes for a crossings
-document by its fixed layout, one f-string per root.
+when given an indent; `crossings_json` renders `affine.crossing_sets` itself,
+writing those bytes for its segments by their fixed layout, one f-string per root.
 All output is deterministic: vertex orders are canonical, keys are written
 in a fixed order, and floating point output is formatted with a fixed
 precision.  SVG rendering is only defined for rank 3, where the three
@@ -20,8 +20,7 @@ from json.encoder import encode_basestring_ascii
 from operator import attrgetter, mul
 
 from .errors import SvgRankUnsupported
-from .affine import _pairs
-from .galleries import Gallery, _path, _Table, format_gallery, path_vertices
+from .galleries import Gallery, format_gallery, path_vertices
 from .graphs import CrystalGraph, Decomposition
 from .mv import MVLabel
 
@@ -115,26 +114,15 @@ def root_document(root) -> dict:
     return {"a": root.a, "b": root.b, "m": root.level}
 
 
-def crossings_document(gallery: Gallery) -> list:
-    """`crossing_sets`, read off the path with one pair list per distinct column."""
-    n = gallery.rank
-    pairs = _Table(lambda col: _pairs(col, n))
-    return [
-        {"segment": k, "roots": [{"a": a, "b": b, "m": cur[a - 1] - cur[b - 1]}
-                                 for a, b in pairs[col]]}
-        for k, (cur, col) in enumerate(zip(_path(gallery), gallery.columns))
-    ]
-
-
-def crossings_json(document: list) -> list[str]:
-    """`json_lines` of a crossings document, by its fixed layout."""
-    segments = []
-    for s in document:
-        roots = ",".join([f'\n      {{\n        "a": {r["a"]},\n        "b": {r["b"]},\n'
-                          f'        "m": {r["m"]}\n      }}' for r in s["roots"]])
+def crossings_json(segments) -> list[str]:
+    """`json_lines` of ``[{"segment": k, "roots": [root_document(root), ...]}, ...]``."""
+    parts = []
+    for k, roots in enumerate(segments):
+        roots = ",".join([f'\n      {{\n        "a": {a},\n        "b": {b},\n'
+                          f'        "m": {m}\n      }}' for a, b, m in roots])
         roots = f"[{roots}\n    ]" if roots else "[]"
-        segments.append(f'\n  {{\n    "segment": {s["segment"]},\n    "roots": {roots}\n  }}')
-    return [f"[{','.join(segments)}\n]" if segments else "[]"]
+        parts.append(f'\n  {{\n    "segment": {k},\n    "roots": {roots}\n  }}')
+    return [f"[{','.join(parts)}\n]" if parts else "[]"]
 
 
 def path_document(gallery: Gallery) -> dict:

@@ -31,6 +31,7 @@ from gallery_crystals import (
     image_weights,
     normal_form,
     parse_gallery,
+    path_vertices,
     weight,
     weyl_dimension,
 )
@@ -102,6 +103,20 @@ def spliced_crossing_sets(gamma: Gallery, delta: Gallery):
     eta = concat(gamma, concat(gallery_from_word(range(1, n + 1), n), delta))
     k = len(delta.columns)
     return eta, k, crossing_sets(eta)[k : k + n]
+
+
+def definition_crossing_sets(gallery: Gallery) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    """Reference for `crossing_sets`, from the definition: for each segment,
+    every a < b whose pairing x_a - x_b is m at the segment's start and more
+    than m at its end gives (a, b, m)."""
+    n = gallery.rank
+    verts = path_vertices(gallery)
+    return tuple(
+        tuple((a, b, start[a - 1] - start[b - 1])
+              for a in range(1, n + 1) for b in range(a + 1, n + 1)
+              if end[a - 1] - end[b - 1] > start[a - 1] - start[b - 1])
+        for start, end in zip(verts, verts[1:])
+    )
 
 
 def transposing_insert(letters, rank: int) -> Gallery:

@@ -333,6 +333,6 @@ def test_splice_checks_build_no_spliced_gallery(monkeypatch):
         raise AssertionError("the splice checks walked a gallery path")
 
     monkeypatch.setattr(affine, "crossing_sets", refuse)
-    monkeypatch.setattr(affine, "path_vertices", refuse)
+    monkeypatch.setattr(affine, "_path", refuse)
     for gamma, delta in splice_pairs():
         assert all(check.ok for check in splice_checks(gamma, delta))

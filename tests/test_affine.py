@@ -22,7 +22,7 @@ from gallery_crystals import (
     weight,
 )
 from gallery_crystals import affine
-from _support import G, shapes_up_to, spliced_crossing_sets
+from _support import G, definition_crossing_sets, shapes_up_to, spliced_crossing_sets
 
 
 class TestCrossingSets:
@@ -44,6 +44,19 @@ class TestCrossingSets:
         for g in [G("1,2|1", 3), G("3|1,2|5|2", 5), gallery_from_word((2, 2, 1), 3)]:
             bound = g.rank * (g.rank - 1) // 2
             assert all(len(segment) <= bound for segment in crossing_sets(g))
+
+    def test_matches_definition_oracle(self):
+        rng = random.Random(34)
+        galleries = [random_gallery(rng, rank, max_columns=30)
+                     for rank in range(2, 10) for _ in range(40)]
+        galleries += [random_gallery(rng, 141, max_columns=6) for _ in range(5)]
+        # A few distinct columns repeated many times: each column's pairs are
+        # listed once and read again at every later copy.
+        for rank in (3, 5, 141):
+            few = random_gallery(rng, rank, max_columns=3).columns
+            galleries.append(Gallery(rank, tuple(rng.choice(few) for _ in range(60))))
+        for g in galleries:
+            assert crossing_sets(g) == definition_crossing_sets(g), g.columns
 
     def test_levels_sit_on_walls(self):
         g = G("2|1,3|2", 4)

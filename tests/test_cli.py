@@ -16,7 +16,13 @@ from pathlib import Path
 import pytest
 
 from gallery_crystals import DominantWeight, affine, cli, plactic
-from gallery_crystals.affine import AffineRoot, WallCheck, crossing_sets, random_gallery
+from gallery_crystals.affine import (
+    AffineRoot,
+    WallCheck,
+    _crossing_roots,
+    crossing_sets,
+    random_gallery,
+)
 from gallery_crystals.cli import run
 from _support import oracle_plactic_classes
 
@@ -659,7 +665,7 @@ class TestTooLarge:
         for rank in range(2, 10):
             for _ in range(200):
                 g = random_gallery(rng, rank, max_columns=8)
-                assert cli._crossing_roots(g) == sum(map(len, crossing_sets(g)))
+                assert _crossing_roots(g) == sum(map(len, crossing_sets(g)))
 
     def test_long_splice_runs(self, capsys):
         # The checks list the C(141, 2) staircase roots, however long the pair.

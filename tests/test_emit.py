@@ -9,13 +9,7 @@ import pytest
 from gallery_crystals import cli
 from gallery_crystals.cli import run
 from gallery_crystals.affine import crossing_sets, random_gallery
-from gallery_crystals.emit import (
-    crossings_document,
-    crossings_json,
-    graph_document,
-    json_lines,
-    root_document,
-)
+from gallery_crystals.emit import crossings_json, graph_document, json_lines, root_document
 from gallery_crystals.galleries import Gallery, format_gallery, parse_gallery
 from gallery_crystals.graphs import CrystalGraph, connected_component
 
@@ -54,6 +48,12 @@ def test_empty_and_bare_documents(document):
     assert json_lines(document) == [json.dumps(document, indent=2)]
 
 
+def crossings_oracle_document(segments) -> list:
+    """The document that `crossings_json` writes for `crossing_sets`."""
+    return [{"segment": k, "roots": list(map(root_document, roots))}
+            for k, roots in enumerate(segments)]
+
+
 def golden_json_requests():
     lines = GOLDEN_REQUESTS.strip().splitlines()
     return [shlex.split(line) for line in lines if "--format json" in line]
@@ -62,7 +62,11 @@ def golden_json_requests():
 @pytest.mark.parametrize("argv", golden_json_requests(), ids=shlex.join)
 def test_golden_documents_match_json_dumps(argv):
     args = cli.build_parser().parse_args(argv)
-    document = args.row.compute(args)
+    result = document = args.row.compute(args)
+    if args.row.name == "crossings":
+        # crossing_sets, written by its fixed layout, not through json_lines.
+        document = crossings_oracle_document(result)
+        assert crossings_json(result) == json_lines(document)
     assert json_lines(document) == [json.dumps(document, indent=2)]
 
 
@@ -100,15 +104,12 @@ def crossings_galleries():
 
 
 def test_crossings_document_and_json_match_crossing_sets():
-    # The document is read off the path with one pair list per distinct
-    # column; crossing_sets and the generic writer are its oracles.
+    # The fixed-layout writer renders crossing_sets with the bytes that
+    # json.dumps writes for the segment documents.
     for gallery in crossings_galleries():
-        document = crossings_document(gallery)
-        assert document == [
-            {"segment": k, "roots": list(map(root_document, segment))}
-            for k, segment in enumerate(crossing_sets(gallery))
-        ], format_gallery(gallery)
-        assert crossings_json(document) == [json.dumps(document, indent=2)]
+        segments = crossing_sets(gallery)
+        expected = json.dumps(crossings_oracle_document(segments), indent=2)
+        assert crossings_json(segments) == [expected], format_gallery(gallery)
 
 
 # One request for each kind of JSON document the CLI writes.
@@ -127,7 +128,10 @@ DOCUMENT_KINDS = [
 def test_json_output_never_uses_the_pure_python_encoder(capsys, monkeypatch, line):
     argv = shlex.split(line)
     args = cli.build_parser().parse_args(argv)
-    expected = json.dumps(args.row.compute(args), indent=2) + "\n"
+    document = args.row.compute(args)
+    if args.row.name == "crossings":
+        document = crossings_oracle_document(document)
+    expected = json.dumps(document, indent=2) + "\n"
 
     def refuse(*args, **kwargs):
         raise AssertionError("json.dumps fell back to its pure-Python encoder")
