@@ -18,17 +18,18 @@ value, each turning the computed result into output lines.  Every format
 renders the one result ``compute`` returns, so each field is computed once,
 in one place.
 
-`build_parser` is cached: the argparse tree is built from the table once
-per process, on the first `run`, and reused, since building it costs
-several times more than parsing a typical request.  Reuse is safe because
-`parse_args` returns a fresh namespace on every call and looks up
-``sys.stdout``/``sys.stderr`` only when it writes help or an error.  `run`
-checks --rank (2 to 141) once, before any subcommand computes.
+`run` reads a canonical request straight off its `COMMANDS` row: the
+command, then ``--flag value`` pairs of the row's flags, each at most once,
+then exactly the row's positionals, no value starting with "-".  Any other
+request, help and usage errors included, goes to the argparse tree that
+`build_parser` imports and builds from the same rows on first need and then
+reuses (`parse_args` returns a fresh namespace per call and looks up
+``sys.stdout``/``sys.stderr`` only to write).  `run` checks --rank (2 to
+141) once, before any subcommand computes.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import os
@@ -38,6 +39,7 @@ import sys
 from collections import Counter, namedtuple
 from itertools import product
 from math import comb, factorial, prod
+from types import SimpleNamespace
 
 from . import emit
 from .affine import _crossing_roots, crossing_sets, random_gallery, splice_checks
@@ -116,13 +118,15 @@ def _parse_ints(text: str, what: str) -> tuple[int, ...]:
 
 def _int(text: str) -> int:
     if not _INTEGER.fullmatch(text.strip()):
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        from argparse import ArgumentTypeError
+        raise ArgumentTypeError(f"invalid int value: {text!r}")
     return int(text)
 
 
 def _count(text: str) -> int:
     if not _INTEGER.fullmatch(text.strip()) or int(text) < 0:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+        from argparse import ArgumentTypeError
+        raise ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
     return int(text)
 
 
@@ -358,30 +362,75 @@ COMMANDS = (
 )
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--rank", type=_int, required=True, help="alphabet size n (>= 2)")
+def _arguments(command: Command) -> tuple:
+    # The row's (flags, kwargs) pairs, behind the two options every row takes.
+    return ((("--rank",), {"type": _int, "required": True, "help": "alphabet size n (>= 2)"}),
+            (("--format",), {"choices": tuple(command.formats), "default": "text",
+                             "help": "output format"}), *command.arguments)
 
+
+@functools.cache
+def build_parser():
+    import argparse
     parser = argparse.ArgumentParser(
         prog="gallery-crystals",
         description="Crystal combinatorics of column galleries for SL_n.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for command in COMMANDS:
-        p = sub.add_parser(command.name, parents=[common], help=command.help)
-        p.add_argument(
-            "--format", choices=tuple(command.formats), default="text", help="output format"
-        )
-        for flags, kwargs in command.arguments:
+        p = sub.add_parser(command.name, help=command.help)
+        for flags, kwargs in _arguments(command):
             p.add_argument(*flags, **kwargs)
         p.set_defaults(row=command)
     return parser
 
 
+@functools.cache
+def _canonical_rows() -> dict:
+    # Per row: (dest, type, choices) by flag, required flags, defaults, positionals.
+    rows = {}
+    for command in COMMANDS:
+        pairs = [(flag, kw) for (flag,), kw in _arguments(command)]
+        options = {flag: (kw.get("dest", flag.lstrip("-").replace("-", "_")),
+                          kw.get("type", str), kw.get("choices"))
+                   for flag, kw in pairs if flag.startswith("-")}
+        required = {flag for flag, kw in pairs if kw.get("required")}
+        defaults = {options[flag][0]: kw.get("default")
+                    for flag, kw in pairs if flag in options.keys() - required}
+        defaults.update(command=command.name, row=command)
+        rows[command.name] = options, required, defaults, [f for f, _ in pairs if f not in options]
+    return rows
+
+
+def _parse_canonical(argv) -> SimpleNamespace | None:
+    # What `build_parser` parses ``argv`` to, if it is in canonical form (see
+    # the module docstring) and every value passes its type and choices.
+    if not argv or argv[0] not in _canonical_rows():
+        return None
+    options, required, values, positionals = _canonical_rows()[argv[0]]
+    cut = len(argv) - len(positionals)  # odd when options come in pairs
+    flags, texts = argv[1:cut:2], argv[2:cut:2]
+    if (cut % 2 == 0 or len(set(flags)) < len(flags)
+            or not required <= set(flags) <= options.keys()
+            or any(text[:1] == "-" for text in [*texts, *argv[cut:]])):
+        return None
+    values = dict(values)
+    for flag, text in zip(flags, texts):
+        dest, kind, choices = options[flag]
+        try:
+            values[dest] = kind(text)
+        except Exception:  # argparse words the usage error
+            return None
+        if choices is not None and values[dest] not in choices:
+            return None
+    values.update(zip(positionals, argv[cut:]))
+    return SimpleNamespace(**values)
+
+
 def run(argv=None) -> int:
+    args = _parse_canonical(sys.argv[1:] if argv is None else argv)
     try:
-        args = build_parser().parse_args(argv)
+        args = args or build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

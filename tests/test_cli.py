@@ -10,6 +10,8 @@ import shlex
 import subprocess
 import sys
 import time
+from collections import Counter
+from itertools import chain
 from math import comb
 from pathlib import Path
 
@@ -380,33 +382,35 @@ class TestErrorsAndDeterminism:
 
 
 class TestRejectedOptions:
-    @pytest.mark.parametrize(
-        "command, fmt, argv",
-        [
-            ("word", "svg", ["1"]),
-            ("validate", "dot", ["1"]),
-            ("from-word", "json", ["12"]),
-            ("concat", "json", ["1", "2"]),
-            ("normal-form", "json", ["1"]),
-            ("component", "svg", ["1"]),
-            ("blambda", "svg", ["--lambda", "1,1"]),
-            ("decompose", "dot", ["--shape", "1"]),
-            ("path", "dot", ["1"]),
-        ],
-    )
+    UNPRODUCED_FORMATS = [
+        ("word", "svg", ["1"]),
+        ("validate", "dot", ["1"]),
+        ("from-word", "json", ["12"]),
+        ("concat", "json", ["1", "2"]),
+        ("normal-form", "json", ["1"]),
+        ("component", "svg", ["1"]),
+        ("blambda", "svg", ["--lambda", "1,1"]),
+        ("decompose", "dot", ["--shape", "1"]),
+        ("path", "dot", ["1"]),
+    ]
+    PRODUCED_FORMATS = [
+        ("normal-form", ("text",), ["1|2|1"]),
+        ("component", ("text", "json", "dot"), ["1"]),
+        ("path", ("text", "json", "svg"), ["1"]),
+        ("decompose", ("text", "json"), ["--shape", "1"]),
+    ]
+    NEGATIVE_COUNTS = [
+        ["apply", "--rank", "3", "--op", "f", "--i", "1", "--times", "-1", "1"],
+        ["oracle-classes", "--rank", "3", "--max-len", "-1"],
+        ["appendix-check", "--rank", "3", "--seed", "1", "--cases", "-5"],
+    ]
+
+    @pytest.mark.parametrize("command, fmt, argv", UNPRODUCED_FORMATS)
     def test_format_not_produced(self, capsys, command, fmt, argv):
         code, out, _ = invoke(capsys, command, "--rank", "3", "--format", fmt, *argv)
         assert code == 2 and out == ""
 
-    @pytest.mark.parametrize(
-        "command, formats, argv",
-        [
-            ("normal-form", ("text",), ["1|2|1"]),
-            ("component", ("text", "json", "dot"), ["1"]),
-            ("path", ("text", "json", "svg"), ["1"]),
-            ("decompose", ("text", "json"), ["--shape", "1"]),
-        ],
-    )
+    @pytest.mark.parametrize("command, formats, argv", PRODUCED_FORMATS)
     def test_formats_produced(self, capsys, command, formats, argv):
         for fmt in formats:
             assert invoke(capsys, command, "--rank", "3", "--format", fmt, *argv)[0] == 0
@@ -423,14 +427,7 @@ class TestRejectedOptions:
             assert code == 1 and out == ""
             assert json.loads(err)["error"] == "parse-error"
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["apply", "--rank", "3", "--op", "f", "--i", "1", "--times", "-1", "1"],
-            ["oracle-classes", "--rank", "3", "--max-len", "-1"],
-            ["appendix-check", "--rank", "3", "--seed", "1", "--cases", "-5"],
-        ],
-    )
+    @pytest.mark.parametrize("argv", NEGATIVE_COUNTS)
     def test_negative_count(self, capsys, argv):
         code, out, _ = invoke(capsys, *argv)
         assert code == 2 and out == ""
@@ -454,6 +451,8 @@ class TestRepeatedRuns:
         assert invoke(capsys, "word", "--rank", "5", "3|1,2|5|2") == (0, "2 5 1 2 3\n", "")
 
     def test_parser_built_once(self, capsys, monkeypatch):
+        # Canonical requests build no parser at all; the first request that
+        # is not canonical builds the tree, and later ones reuse it.
         built = []
         init = argparse.ArgumentParser.__init__
 
@@ -462,43 +461,65 @@ class TestRepeatedRuns:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-        invoke(capsys, "word", "--rank", "3", "1")
-        built.clear()
+        cli.build_parser.cache_clear()
+        assert invoke(capsys, "word", "--rank", "3", "1") == (0, "1\n", "")
         assert invoke(capsys, "weight", "--rank", "3", "1,2|1") == (0, "2 1 0\n", "")
         assert built == []
+        assert invoke(capsys, "word", "--rank=3", "1") == (0, "1\n", "")
+        # the top parser and one subparser per row
+        assert built.count("gallery-crystals") == 1 and len(built) == 1 + len(cli.COMMANDS)
+        built.clear()
+        assert invoke(capsys, "weight", "--rank=3", "1,2|1") == (0, "2 1 0\n", "")
+        code, _, err = invoke(capsys, "word", "--rank", "3")
+        assert code == 2 and "required: gallery" in err
+        assert built == []
+
+    def test_canonical_request_imports_no_argparse(self):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        code = ("import sys; from gallery_crystals import cli; "
+                "cli.run(['word', '--rank', '3', '1']); sys.exit('argparse' in sys.modules)")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env,
+                              timeout=60)
+        assert (done.returncode, done.stdout, done.stderr) == (0, b"1\n", b"")
 
 
 class TestStrictNumbers:
     # int() reads each of these as a number: "\u0661" is an Arabic-Indic one,
     # "1_0" is 10 and "+2" is 2.
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["validate", "--rank", "3", "\u0661|\u0662"],
-            ["from-word", "--rank", "3", "\u0661\u0662"],
-            ["decompose", "--rank", "3", "--shape", "1_0"],
-            ["blambda", "--rank", "3", "--lambda", "+2,0"],
-            ["blambda", "--rank", "3", "--lambda", "\u0661,0"],
-            # int() refuses more than 4,300 digits by default
-            ["validate", "--rank", "3", "1" * 5000],
-            ["word", "--rank", "3", "1" * 5000],
-            ["from-word", "--rank", "10", "1 " + "1" * 5000],
-            ["decompose", "--rank", "3", "--shape", "1" * 5000],
-            ["blambda", "--rank", "3", "--lambda", "9" * 60000 + ",1"],
-        ],
-    )
+    PARSE_ERRORS = [
+        ["validate", "--rank", "3", "\u0661|\u0662"],
+        ["from-word", "--rank", "3", "\u0661\u0662"],
+        ["decompose", "--rank", "3", "--shape", "1_0"],
+        ["blambda", "--rank", "3", "--lambda", "+2,0"],
+        ["blambda", "--rank", "3", "--lambda", "\u0661,0"],
+        # int() refuses more than 4,300 digits by default
+        ["validate", "--rank", "3", "1" * 5000],
+        ["word", "--rank", "3", "1" * 5000],
+        ["from-word", "--rank", "10", "1 " + "1" * 5000],
+        ["decompose", "--rank", "3", "--shape", "1" * 5000],
+        ["blambda", "--rank", "3", "--lambda", "9" * 60000 + ",1"],
+    ]
+    NEGATIVE_VALUES = [
+        (["blambda", "--rank", "3", "--lambda= -1, 0"], "not-dominant"),
+        (["decompose", "--rank", "3", "--shape=-1"], "shape-invalid"),
+    ]
+    # One request per integer option.
+    INTEGER_USAGE_ERRORS = [
+        ["validate", "--rank", "\u0663", "1|2"],
+        ["signature", "--rank", "3", "--i", "1_0", "1|2"],
+        ["apply", "--rank", "3", "--op", "f", "--i", "1", "--times", "\u0662", "1|1"],
+        ["oracle-classes", "--rank", "3", "--max-len", "+2"],
+        ["appendix-check", "--rank", "3", "--seed", "\u0661"],
+        ["appendix-check", "--rank", "3", "--seed", "1", "--cases", "1_0"],
+    ]
+
+    @pytest.mark.parametrize("argv", PARSE_ERRORS)
     def test_parse_error(self, capsys, argv):
         code, out, err = invoke(capsys, *argv)
         assert code == 1 and out == ""
         assert json.loads(err)["error"] == "parse-error"
 
-    @pytest.mark.parametrize(
-        "argv, error",
-        [
-            (["blambda", "--rank", "3", "--lambda= -1, 0"], "not-dominant"),
-            (["decompose", "--rank", "3", "--shape=-1"], "shape-invalid"),
-        ],
-    )
+    @pytest.mark.parametrize("argv, error", NEGATIVE_VALUES)
     def test_negative_values_keep_their_codes(self, capsys, argv, error):
         code, out, err = invoke(capsys, *argv)
         assert code == 1 and out == ""
@@ -508,18 +529,7 @@ class TestStrictNumbers:
         code, out, _ = invoke(capsys, "image-weights", "--rank", "3", "--shape", " 1 , 1 ")
         assert code == 0 and out == "0,1 -> 1\n2,0 -> 1\n"
 
-    # One request per integer option.
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["validate", "--rank", "\u0663", "1|2"],
-            ["signature", "--rank", "3", "--i", "1_0", "1|2"],
-            ["apply", "--rank", "3", "--op", "f", "--i", "1", "--times", "\u0662", "1|1"],
-            ["oracle-classes", "--rank", "3", "--max-len", "+2"],
-            ["appendix-check", "--rank", "3", "--seed", "\u0661"],
-            ["appendix-check", "--rank", "3", "--seed", "1", "--cases", "1_0"],
-        ],
-    )
+    @pytest.mark.parametrize("argv", INTEGER_USAGE_ERRORS)
     def test_integer_option_usage_error(self, capsys, argv):
         code, out, _ = invoke(capsys, *argv)
         assert code == 2 and out == ""
@@ -869,14 +879,107 @@ def readme_examples() -> list[str]:
     return [line for line in block.splitlines() if line.startswith("gallery-crystals ")]
 
 
+def readme_argv(line: str) -> list[str]:
+    # "command  # first output line  (a remark)"; a "> file" redirect is dropped.
+    argv = shlex.split(line.partition("#")[0])[1:]
+    return argv[: argv.index(">")] if ">" in argv else argv
+
+
 @pytest.mark.parametrize("line", readme_examples())
 def test_readme_example(capsys, line):
-    # "command  # first output line  (a remark)"; a "> file" redirect is dropped.
-    command, _, comment = line.partition("#")
-    argv = shlex.split(command)[1:]
-    if ">" in argv:
-        argv = argv[: argv.index(">")]
-    code, out, err = invoke(capsys, *argv)
+    comment = line.partition("#")[2]
+    code, out, err = invoke(capsys, *readme_argv(line))
     assert code == 0 and err == ""
     if comment.strip():
         assert out.splitlines()[0] == comment.strip().split("  ")[0]
+
+
+def _split(argv: list) -> tuple:
+    """A canonical request's command, (flag, value) pairs and positionals."""
+    row = next(row for row in cli.COMMANDS if row.name == argv[0])
+    cut = len(argv) - sum(not flags[0].startswith("-") for flags, _ in row.arguments)
+    return argv[0], list(zip(argv[1:cut:2], argv[2:cut:2])), argv[cut:]
+
+
+def _workload_style(argv: list) -> list:
+    # As the benchmark's cli-session writes a request: --rank, then --format
+    # spelled out, then the other options, then the positionals.
+    command, pairs, positionals = _split(argv)
+    options = dict(pairs)
+    head = ["--rank", options.pop("--rank"), "--format", options.pop("--format", "text")]
+    return [command, *head, *chain.from_iterable(options.items()), *positionals]
+
+
+def _mutations(argv: list, rng: random.Random) -> list:
+    """Spellings of a canonical request that argparse reads otherwise or refuses."""
+    command, pairs, positionals = _split(argv)
+    k = rng.randrange(len(pairs))
+    flag, value = pairs[k]
+    before, after = list(chain(*pairs[:k])), list(chain(*pairs[k + 1:]))
+    options = [*before, flag, value, *after]
+    spellings = [
+        [*before, f"{flag}={value}", *after, *positionals],
+        [*before, flag[:-1], value, *after, *positionals],  # abbreviated
+        ["--ra" if token == "--rank" else token for token in [*options, *positionals]],
+        [*options, flag, value, *positionals],  # repeated
+        [*before, flag, "-" + value, *after, *positionals],  # negative
+        [*options, *("-" + positional for positional in positionals)],  # option-like
+        [*before, *after, *positionals, flag, value],  # after the positionals
+        [*options, "--", *positionals],
+        [*before, *after, *positionals],  # missing
+        [*options, *positionals, "1"],  # one positional too many
+        [*options, *positionals[:-1]],  # one too few, or none missing
+        [*options, "--bogus", "1", *positionals],
+    ]
+    help_request = [*options, *positionals]
+    help_request.insert(rng.randrange(len(help_request) + 1), "-h")
+    return [[command, *spelling] for spelling in (*spellings, help_request)]
+
+
+class TestCanonicalRequests:
+    """`run` reads a canonical request off `COMMANDS` without argparse; every
+    namespace it makes must be the one argparse makes, and every request
+    argparse refuses must reach argparse."""
+
+    def test_agrees_with_argparse(self, capsys):
+        golden = [shlex.split(line) for line in GOLDEN_REQUESTS.strip().splitlines()]
+        hot = golden + [_workload_style(argv) for argv in golden]
+        sweep = [[row.name, "--rank", "3", "--format", fmt, *argv]
+                 for row in cli.COMMANDS for fmt in row.formats
+                 for argv in (EMPTY_ARGV[row.name], *SWEEP_ARGV[row.name])]
+        listed = [
+            *TestStrictNumbers.PARSE_ERRORS,
+            *(argv for argv, _ in TestStrictNumbers.NEGATIVE_VALUES),
+            *TestStrictNumbers.INTEGER_USAGE_ERRORS,
+            *TestRejectedOptions.NEGATIVE_COUNTS,
+            *([command, "--rank", "3", "--format", fmt, *argv]
+              for command, fmt, argv in TestRejectedOptions.UNPRODUCED_FORMATS),
+            *([command, "--rank", "3", "--format", fmt, *argv]
+              for command, formats, argv in TestRejectedOptions.PRODUCED_FORMATS
+              for fmt in formats),
+            *map(readme_argv, readme_examples()),
+        ]
+        rng = random.Random(1)
+        mutated = [spelling for argv in hot + sweep for spelling in _mutations(argv, rng)]
+        outcomes = Counter()
+        for argv in hot + sweep + listed + mutated:
+            fast = cli._parse_canonical(argv)
+            try:
+                expected = vars(cli.build_parser().parse_args(argv))
+            except SystemExit as exc:
+                outcomes["exit"] += 1
+                captured = capsys.readouterr()
+                assert fast is None, argv
+                assert invoke(capsys, *argv) == (exc.code, captured.out, captured.err), argv
+            else:
+                outcomes["argparse" if fast is None else "fast"] += 1
+                assert fast is None or vars(fast) == expected, argv
+        # Each outcome is reached often: help and usage errors, spellings only
+        # argparse reads, and canonical requests.
+        assert min(outcomes.values()) > 300, outcomes
+        # The requests the benchmark and the golden digest send stay on the fast path.
+        assert [argv for argv in hot if cli._parse_canonical(argv) is None] == []
+
+    def test_repeated_option_is_not_canonical(self):
+        # argparse keeps the last value, so only this test tells the two apart.
+        assert cli._parse_canonical(["word", "--rank", "3", "--rank", "4", "1"]) is None
