@@ -14,7 +14,6 @@ from gallery_crystals import (
     is_ssyt,
     normal_form,
     parse_gallery,
-    rsk_insert,
 )
 
 for text in ["1,2|1", "1|2|1", "1|2|1|3|2|1"]:
@@ -24,8 +23,8 @@ for text in ["1,2|1", "1|2|1", "1|2|1|3|2|1"]:
 staircase = gallery_from_word((1, 2, 3), 3)
 print("\nstaircase word gallery:", format_gallery(staircase))
 # insertion drops the full column 1,2,3 of its tableau
-print("insertion of 1 2 3    :", repr(format_gallery(rsk_insert((1, 2, 3), 3))))
-print("insertion of 1 2 1 2 3:", repr(format_gallery(rsk_insert((1, 2, 1, 2, 3), 3))))
+print("insertion of 1 2 3    :", repr(format_gallery(normal_form(gallery_from_word((1, 2, 3), 3)))))
+print("insertion of 1 2 1 2 3:", repr(format_gallery(normal_form(gallery_from_word((1, 2, 1, 2, 3), 3)))))
 print("normal form is empty  :", normal_form(staircase).columns == ())
 
 print("\nis_ssyt('1,2|1') :", is_ssyt(parse_gallery("1,2|1", 3)))

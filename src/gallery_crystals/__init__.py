@@ -54,7 +54,6 @@ from .plactic import (
     equivalent,
     is_ssyt,
     normal_form,
-    rsk_insert,
 )
 from .graphs import (
     CrystalGraph,

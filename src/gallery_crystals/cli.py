@@ -116,18 +116,24 @@ def _parse_ints(text: str, what: str) -> tuple[int, ...]:
     return _ints(pieces, what)
 
 
-def _int(text: str) -> int:
-    if not _INTEGER.fullmatch(text.strip()):
+def _integer(text: str, least, message: str) -> int:
+    digits = text.strip()  # int() refuses U+001C..U+001F, which strip removes,
+    try:  # and more than 4,300 digits
+        value = int(digits) if _INTEGER.fullmatch(digits) else None
+    except ValueError:
+        value = None
+    if value is None or least is not None and value < least:
         from argparse import ArgumentTypeError
-        raise ArgumentTypeError(f"invalid int value: {text!r}")
-    return int(text)
+        raise ArgumentTypeError(message.format(text))
+    return value
+
+
+def _int(text: str) -> int:
+    return _integer(text, None, "invalid int value: {!r}")
 
 
 def _count(text: str) -> int:
-    if not _INTEGER.fullmatch(text.strip()) or int(text) < 0:
-        from argparse import ArgumentTypeError
-        raise ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
-    return int(text)
+    return _integer(text, 0, "expected an integer >= 0, got {!r}")
 
 
 def _shape(args) -> tuple[int, ...]:

@@ -275,11 +275,8 @@ class WeightVector(_Value):
         _check_index(i, self.rank)
         return self.counts[i - 1] - self.counts[i]
 
-    def is_dominant(self) -> bool:
-        return _descending(self.counts)
-
     def to_dominant_weight(self) -> "DominantWeight":
-        if not self.is_dominant():
+        if not _descending(self.counts):
             raise NotDominant(f"counts {self.counts} are not weakly decreasing")
         coeffs = tuple(self.counts[k] - self.counts[k + 1] for k in range(self.rank - 1))
         return DominantWeight(coeffs)

@@ -17,12 +17,12 @@ with the full columns of its tableau dropped.  A full column is 1..n, which
 by relation c is the empty word, and it sits leftmost because column
 lengths weakly decrease left to right; dropping it leaves a semistandard
 tableau, whose reading word inserts back to itself.  With letters in 1..n,
-the full columns are exactly those of height n.  One public path,
-`rsk_insert`, checks its letters and rank before inserting.  The trusted
-internal path, `_insert`, takes ints in 1..n; `normal_form` gives it the
-word of a proper gallery, and the `oracle-classes` subcommand each word it
-groups.  The test suite certifies the normal form against a brute-force
-rewriting oracle.
+the full columns are exactly those of height n.  A word enters as
+`gallery_from_word`, whose constructor checks its rank and letters; its
+normal form is the word's insertion.  `_insert`, the one insertion, takes
+ints in 1..n; `normal_form` gives it the word of a proper gallery, and the
+`oracle-classes` subcommand each word it groups.  The test suite certifies
+the normal form against a brute-force rewriting oracle.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from bisect import bisect_right
 from itertools import zip_longest
 
 from .errors import RankMismatch
-from .galleries import Gallery, Word, _check_letters, _check_rank, _plain_ints, word
+from .galleries import Gallery, Word, word
 
 
 def is_ssyt(gallery: Gallery) -> bool:
@@ -72,28 +72,12 @@ def _insert(letters: Word, rank: int) -> Gallery:
     return Gallery._unsafe(rank, tuple(display))
 
 
-def rsk_insert(letters, rank: int) -> Gallery:
-    """Schensted row insertion of the letters, taken last to first, with the
-    full columns 1..n of the insertion tableau dropped.
-
-    Every letter is checked before any is inserted: the first one outside
-    1..n, such as the 0 of ``(0, 1, 2)`` or the 4 of ``(1, 2, 3, 4)`` at
-    rank 3, raises `LetterOutOfRange`.  A letter that is not an int, or is a
-    bool, raises `LetterNotInteger`.
-    """
-    letters = _plain_ints(letters)
-    _check_rank(rank)
-    _check_letters(letters, rank)
-    return _insert(letters, rank)
-
-
 def normal_form(gallery: Gallery) -> Gallery:
     """The unique equivalent semistandard Young tableau with columns <= n-1.
 
     One insertion suffices: the full columns of the insertion tableau are
     its leftmost columns, so dropping them leaves a semistandard tableau,
-    and reinserting that tableau's word would give it back unchanged.  Equal
-    in value to ``rsk_insert(word(gallery), gallery.rank)``, unchecked.
+    and reinserting that tableau's word would give it back unchanged.
     """
     return _insert(word(gallery), gallery.rank)
 

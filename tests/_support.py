@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import random
 import re
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import Counter, deque
-from itertools import chain, product
+from itertools import chain, islice, product
 
 from gallery_crystals import (
     CrystalGraph,
@@ -29,11 +29,13 @@ from gallery_crystals import (
     gallery_from_word,
     highest_weight_vertex,
     image_weights,
+    is_dominant,
     normal_form,
     parse_gallery,
     path_vertices,
     weight,
     weyl_dimension,
+    word,
 )
 from gallery_crystals.galleries import Shape, Word, validate_shape
 
@@ -120,9 +122,10 @@ def definition_crossing_sets(gallery: Gallery) -> tuple[tuple[tuple[int, int, in
 
 
 def transposing_insert(letters, rank: int) -> Gallery:
-    """Reference for `normal_form` and `rsk_insert`: Schensted row insertion
-    of the letters, last to first, then the rows turned into columns one band
-    of equal-length rows at a time, every column equal to 1..rank dropped."""
+    """Reference for `normal_form`, of a gallery or of the gallery of a word
+    (`gallery_from_word`): Schensted row insertion of the letters, last to
+    first, then the rows turned into columns one band of equal-length rows
+    at a time, every column equal to 1..rank dropped."""
     rows: list[list[int]] = []
     for x in reversed(letters):
         for row in rows:
@@ -140,6 +143,82 @@ def transposing_insert(letters, rank: int) -> Gallery:
         cut = len(rows[-1])
         rows = [row[cut:] for row in rows if len(row) > cut]
     return Gallery._unsafe(rank, tuple(reversed(display)))
+
+
+def recording_insert(letters) -> tuple[list[list[int]], list[list[int]]]:
+    """Schensted row insertion of the letters, last to first, recorded: the
+    rows of the insertion tableau P and of Q, which holds in each box the
+    step, 1, 2, ..., that added it.  Full columns are kept."""
+    p_rows: list[list[int]] = []
+    q_rows: list[list[int]] = []
+    for step, x in enumerate(reversed(letters), 1):
+        for row, steps in zip(p_rows, q_rows):
+            k = bisect_right(row, x)
+            if k == len(row):
+                row.append(x)
+                steps.append(step)
+                break
+            x, row[k] = row[k], x
+        else:
+            p_rows.append([x])
+            q_rows.append([step])
+    return p_rows, q_rows
+
+
+def recording_uninsert(p_rows, q_rows) -> Word:
+    """The word whose `recording_insert` is (P, Q).  Each round removes the
+    box of Q's largest step from P; its entry bumps the rightmost entry below
+    it up each row, and what leaves the first row is that step's letter."""
+    p_rows = [list(row) for row in p_rows]
+    q_rows = [list(row) for row in q_rows]
+    letters = []
+    while q_rows:
+        r = max(range(len(q_rows)), key=lambda t: q_rows[t][-1])
+        q_rows[r].pop()
+        x = p_rows[r].pop()
+        for row in reversed(p_rows[:r]):
+            k = bisect_left(row, x) - 1
+            x, row[k] = row[k], x
+        letters.append(x)
+        if not q_rows[r]:  # only the last row can empty
+            del p_rows[r], q_rows[r]
+    return tuple(letters)
+
+
+def _cut(letters: Word, shape: Shape, rank: int) -> Gallery:
+    # The checked gallery of the shape whose word is the letters.
+    it = iter(letters)
+    return Gallery(rank, tuple(tuple(islice(it, d)) for d in shape))
+
+
+def coplactic_source(gallery: Gallery) -> Gallery:
+    """Reference for `highest_weight_vertex`: root operators keep the
+    recording tableau Q of the gallery's word, so the source of its component
+    has Q and the Yamanouchi tableau of P's shape, full columns included, whose
+    row r holds r + 1; its word is cut into the gallery's shape."""
+    p_rows, q_rows = recording_insert(word(gallery))
+    yamanouchi = [[r + 1] * len(row) for r, row in enumerate(p_rows)]
+    return _cut(recording_uninsert(yamanouchi, q_rows), gallery.shape, gallery.rank)
+
+
+def coplactic_fiber(label, shape: Shape) -> tuple[Gallery, ...]:
+    """Reference for `fiber`: each dominant gallery of the shape with
+    lambda's weight tops one component, whose member of normal form T (the
+    label's tableau) has the top's Q and, for P, T with the top's k full
+    columns 1..n prepended to its rows.  Sorted by columns."""
+    rank = label.tableau.rank
+    lam = label.lam.to_weight_vector()
+    display = label.tableau.columns[::-1]
+    rows = [[col[r] for col in display if len(col) > r] for r in range(rank)]
+    members = []
+    for top in galleries_of_shape(shape, rank):
+        if not is_dominant(top) or weight(top) != lam:
+            continue
+        p_rows, q_rows = recording_insert(word(top))
+        k = len(p_rows[-1]) if len(p_rows) == rank else 0
+        full = [[r + 1] * k + row for r, row in enumerate(rows)]
+        members.append(_cut(recording_uninsert([row for row in full if row], q_rows), shape, rank))
+    return tuple(sorted(members, key=lambda g: g.columns))
 
 
 def _knuth_neighbors(w: Word) -> list[Word]:

@@ -512,6 +512,18 @@ class TestStrictNumbers:
         ["appendix-check", "--rank", "3", "--seed", "\u0661"],
         ["appendix-check", "--rank", "3", "--seed", "1", "--cases", "1_0"],
     ]
+    # int() refuses more than 4,300 digits; argparse must not name the converter.
+    TOO_MANY_DIGITS = [
+        ["word", "--rank", "1" * 5000, "1"],
+        ["apply", "--rank", "3", "--op", "f", "--i", "1", "--times", "1" * 5000, "1"],
+        ["appendix-check", "--rank", "3", "--seed", "1" * 5000],
+    ]
+    # str.strip removes U+001C, which int() alone refuses.
+    PADDED = [
+        (["word", "--rank", "3\x1c", "1|2"], ["word", "--rank", "3", "1|2"]),
+        (["apply", "--rank", "3", "--op", "f", "--i", "1", "--times", "\x1c2", "1"],
+         ["apply", "--rank", "3", "--op", "f", "--i", "1", "--times", "2", "1"]),
+    ]
 
     @pytest.mark.parametrize("argv", PARSE_ERRORS)
     def test_parse_error(self, capsys, argv):
@@ -533,6 +545,19 @@ class TestStrictNumbers:
     def test_integer_option_usage_error(self, capsys, argv):
         code, out, _ = invoke(capsys, *argv)
         assert code == 2 and out == ""
+
+    @pytest.mark.parametrize("argv", TOO_MANY_DIGITS)
+    def test_too_many_digits_usage_error(self, capsys, argv):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "invalid" in err or "expected" in err
+        assert "_int" not in err and "_count" not in err
+
+    @pytest.mark.parametrize("padded, plain", PADDED)
+    def test_padded_integer_options_run(self, capsys, padded, plain):
+        expected = invoke(capsys, *plain)
+        assert expected[0] == 0
+        assert invoke(capsys, *padded) == expected
 
     def test_integer_options_keep_minus_and_spaces(self, capsys):
         argv = ("appendix-check", "--rank", " 3 ", "--seed=-3", "--cases", " 2")
@@ -951,6 +976,8 @@ class TestCanonicalRequests:
             *TestStrictNumbers.PARSE_ERRORS,
             *(argv for argv, _ in TestStrictNumbers.NEGATIVE_VALUES),
             *TestStrictNumbers.INTEGER_USAGE_ERRORS,
+            *TestStrictNumbers.TOO_MANY_DIGITS,
+            *(padded for padded, _ in TestStrictNumbers.PADDED),
             *TestRejectedOptions.NEGATIVE_COUNTS,
             *([command, "--rank", "3", "--format", fmt, *argv]
               for command, fmt, argv in TestRejectedOptions.UNPRODUCED_FORMATS),

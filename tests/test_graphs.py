@@ -36,9 +36,12 @@ from _support import (
     G,
     cellwise_ssyt,
     component_decomposition,
+    coplactic_source,
     dominance_leq,
     gallery_universe,
     letter_tally,
+    recording_insert,
+    recording_uninsert,
     shapes_up_to,
     traversal_isomorphism,
     two_sided_closure,
@@ -131,6 +134,19 @@ class TestHighestWeightVertex:
         top = highest_weight_vertex(G("2|3|1", 3))
         assert is_dominant(top)
         assert all(e(top, i) is None for i in (1, 2))
+
+    def test_matches_coplactic_oracle(self):
+        # Seeded galleries of ranks 2-7 with at most 12 columns; the oracle
+        # keeps the word's recording tableau and shares no code with operators.
+        rng = random.Random(3601)
+        for _ in range(2000):
+            rank = rng.randint(2, 7)
+            g = Gallery(rank, tuple(
+                tuple(sorted(rng.sample(range(1, rank + 1), rng.randint(1, rank - 1))))
+                for _ in range(rng.randint(0, 12))
+            ))
+            assert recording_uninsert(*recording_insert(word(g))) == word(g)
+            assert highest_weight_vertex(g) == coplactic_source(g), g
 
     def test_unique_source_per_component(self):
         comp = connected_component(G("2|3|1", 3))

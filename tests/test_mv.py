@@ -1,5 +1,6 @@
 """MV cycle labels, fibers, image weights, surjectivity."""
 
+import random
 import sys
 
 import pytest
@@ -14,6 +15,7 @@ from gallery_crystals import (
     WeightVector,
     canonical_dominant_gallery,
     connected_component,
+    count_galleries,
     f,
     fiber,
     format_gallery,
@@ -26,7 +28,7 @@ from gallery_crystals import (
     weight,
 )
 import _support
-from _support import G, shapes_up_to, shapewise_fibers, shapewise_surjectivity
+from _support import G, coplactic_fiber, shapes_up_to, shapewise_fibers, shapewise_surjectivity
 
 # Every shape of ranks 2-4 up to 6 boxes, of rank 5 up to 5 and of rank 6 up to 4.
 ORACLE_CASES = [
@@ -115,6 +117,20 @@ class TestFiber:
         label = MVLabel(DominantWeight((0, 50)), G("|".join(["2,3"] * 50), 3))
         assert fiber(label, (1,)) == ()
 
+    @pytest.mark.parametrize(
+        "lam, tableau, shape",
+        [((1, 0), "1", (1,) * 20),  # 20 - 1 boxes is not a multiple of 3
+         ((3, 0), "1|1|1", ())],  # fewer boxes than lambda: lift < 0
+    )
+    def test_early_exits_search_nothing(self, monkeypatch, lam, tableau, shape):
+        # A shape whose boxes no lift of lambda's counts matches has no tops,
+        # found without searching its dominant galleries.
+        def refuse(*args):
+            raise AssertionError("the dominant galleries were searched")
+
+        monkeypatch.setattr(mv, "_dominant_galleries", refuse)
+        assert fiber(MVLabel(DominantWeight(lam), G(tableau, 3)), shape) == ()
+
     def test_deep_shape(self):
         # More columns than Python's recursion limit, and a one-gallery fiber.
         n = sys.getrecursionlimit() + 100
@@ -132,6 +148,29 @@ class TestFiber:
         with pytest.raises(RankMismatch):
             fiber(label, (1, 1, 1), 4)
         assert fiber(label, (1, 1, 1), 3) == fiber(label, (1, 1, 1))
+
+    def test_matches_coplactic_oracle(self):
+        # 200 seeded labels asked of shapes of ranks 2-4 with at most 2,000
+        # galleries; most labels are a gallery's of that shape, the rest any
+        # gallery's of up to 6 columns, whose fiber may be empty.
+        rng = random.Random(3602)
+
+        def random_gallery(rank, shape):
+            return Gallery(rank, tuple(tuple(sorted(rng.sample(range(1, rank + 1), d))) for d in shape))
+
+        nonempty = 0
+        for _ in range(200):
+            rank = rng.randint(2, 4)
+            while True:
+                shape = tuple(rng.randint(1, rank - 1) for _ in range(rng.randint(0, 6)))
+                if count_galleries(shape, rank) <= 2000:
+                    break
+            other = shape if rng.random() < 0.7 else (1,) * rng.randint(0, 6)
+            label = mv_label(random_gallery(rank, other))
+            members = fiber(label, shape)
+            assert members == coplactic_fiber(label, shape), (label, shape)
+            nonempty += bool(members)
+        assert nonempty > 100
 
     @pytest.mark.parametrize("rank", [2, 3, 4, 5, 6])
     def test_matches_shapewise_oracle(self, rank):

@@ -45,12 +45,14 @@ def test_star_import_binds_exactly_all():
 @pytest.mark.parametrize(
     "name",
     ["empty_gallery", "pairing", "make_label", "staircase_gallery",
-     "weight_of_full_column_word", "positive_roots"],
+     "weight_of_full_column_word", "positive_roots", "rsk_insert"],
 )
 def test_aliases_are_gone(name):
     # Each restated a public operation: Gallery(n), mu.pairing(i), MVLabel(...),
-    # the staircase word gallery, its weight, and the pairs a < b.
+    # the staircase word gallery, its weight, the pairs a < b, and a word's
+    # insertion, normal_form(gallery_from_word(letters, n)).
     assert not hasattr(gallery_crystals, name)
+    assert not hasattr(gallery_crystals.plactic, name)
 
 
 @pytest.mark.parametrize("name", ["Tag", "dominance_leq", "oracle_plactic_classes"])
@@ -106,10 +108,14 @@ def test_unreachable_errors_are_gone(name):
     assert not hasattr(gallery_crystals.errors, name)
 
 
-@pytest.mark.parametrize("owner, method", [("WeightVector", "__add__"), ("Gallery", "__len__")])
+@pytest.mark.parametrize(
+    "owner, method",
+    [("WeightVector", "__add__"), ("Gallery", "__len__"), ("WeightVector", "is_dominant")],
+)
 def test_unused_methods_are_gone(owner, method):
-    # Nothing called them: weights are added through their counts, and a
-    # gallery's length is len(g.columns).
+    # Nothing called them: weights are added through their counts, a
+    # gallery's length is len(g.columns), and to_dominant_weight applies
+    # the one dominance rule to the counts itself.
     assert not hasattr(getattr(gallery_crystals, owner), method)
 
 

@@ -20,10 +20,15 @@ from gallery_crystals import (
     normal_form,
     parse_word,
     plactic,
-    rsk_insert,
     word,
 )
 from _support import G, gallery_universe, oracle_plactic_classes, transposing_insert
+
+
+def insert(letters, rank):
+    """A word's insertion: the normal form of the gallery of its letters,
+    whose constructor checks the rank and then each letter."""
+    return normal_form(gallery_from_word(letters, rank))
 
 
 class TestIsSsyt:
@@ -46,28 +51,34 @@ class TestIsSsyt:
 
 
 class TestRskInsert:
+    """Schensted insertion of a word, entered as the gallery of its letters."""
+
     def test_bumping(self):
-        assert format_gallery(rsk_insert((1, 2, 1), 3)) == "1,2|1"
+        assert format_gallery(insert((1, 2, 1), 3)) == "1,2|1"
 
     def test_single_letter(self):
-        assert format_gallery(rsk_insert((1,), 3)) == "1"
+        assert format_gallery(insert((1,), 3)) == "1"
 
     def test_decreasing_word_gives_single_row(self):
         # letters are taken last to first, so 3,2,1 inserts as 1, 2, 3
-        assert format_gallery(rsk_insert((3, 2, 1), 3)) == "1|2|3"
+        assert format_gallery(insert((3, 2, 1), 3)) == "1|2|3"
 
     def test_increasing_word_gives_full_column(self):
         # 1..k inserts as one column; at k == n that column is full and dropped
-        assert rsk_insert((1, 2, 3), 4).columns == ((1, 2, 3),)
-        assert rsk_insert((1, 2, 3), 3) == Gallery(3)
+        assert insert((1, 2, 3), 4).columns == ((1, 2, 3),)
+        assert insert((1, 2, 3), 3) == Gallery(3)
 
     def test_non_integer_letters_rejected(self):
         with pytest.raises(LetterNotInteger):
-            rsk_insert(("2", 1.9), 3)
+            insert(("2", 1.9), 3)
 
     def test_non_integer_rank_rejected(self):
         with pytest.raises(InvalidRank):
-            rsk_insert((1, 2), 2.5)
+            insert((1, 2), 2.5)
+
+    def test_rank_checked_before_letters(self):
+        with pytest.raises(InvalidRank):
+            insert(("a",), 1)
 
     @pytest.mark.parametrize(
         "letters", [(0, 1, 2), (1, 2, 4), (4,), (1, 2, 3, 4), (0, 1, 2, 3)]
@@ -79,7 +90,7 @@ class TestRskInsert:
         bad = next(a for a in letters if not 1 <= a <= 3)
         message = f"^{re.escape(f'letter {bad} not in 1..3')}$"
         with pytest.raises(LetterOutOfRange, match=message):
-            rsk_insert(letters, 3)
+            insert(letters, 3)
         with pytest.raises(LetterOutOfRange, match=message):
             Gallery(3, tuple((a,) for a in letters))
         with pytest.raises(LetterOutOfRange, match=message):
@@ -88,23 +99,23 @@ class TestRskInsert:
     def test_word_is_plactic_stable(self):
         # reinserting the word of an insertion tableau reproduces it
         for letters in [(1, 2, 1), (2, 2, 1, 3), (3, 1, 2, 1, 2)]:
-            tableau = rsk_insert(letters, 3)
-            assert rsk_insert(word(tableau), 3) == tableau
+            tableau = insert(letters, 3)
+            assert insert(word(tableau), 3) == tableau
 
 
 class TestStripFullColumns:
     """Insertion strips the full columns 1..n of its tableau, and only those."""
 
     def test_full_column(self):
-        assert rsk_insert((1, 2, 3), 3) == Gallery(3)
-        assert rsk_insert((1, 2, 3, 1, 2, 3), 3) == Gallery(3)
+        assert insert((1, 2, 3), 3) == Gallery(3)
+        assert insert((1, 2, 3, 1, 2, 3), 3) == Gallery(3)
 
     def test_no_full_column(self):
-        assert rsk_insert(word(G("1,2|1", 3)), 3) == G("1,2|1", 3)
+        assert insert(word(G("1,2|1", 3)), 3) == G("1,2|1", 3)
 
     def test_mixed(self):
         # The word of the reading-order columns (1, 2), (1, 2, 3).
-        assert rsk_insert((1, 2, 1, 2, 3), 3) == Gallery(3, ((1, 2),))
+        assert insert((1, 2, 1, 2, 3), 3) == Gallery(3, ((1, 2),))
         assert format_gallery(normal_form(gallery_from_word((1, 2, 1, 2, 3), 3))) == "1,2"
 
 
@@ -153,15 +164,16 @@ def test_trusted_insertion_matches_checked_insertion():
     for g in seeded_galleries(seed=1107, count=400):
         nf = normal_form(g)
         checked = Gallery(g.rank, nf.columns)
-        assert nf == rsk_insert(word(g), g.rank)
+        assert nf == insert(word(g), g.rank)
         assert checked == nf and hash(checked) == hash(nf)
         dropped += len(word(nf)) < len(word(g))
     assert dropped > 100
 
 
 class TestMatchesTransposingInsert:
-    """`normal_form` and `rsk_insert` give the reference insertion's columns,
-    which it transposes one band of equal-length rows at a time."""
+    """`normal_form`, of a gallery and of its word's gallery, gives the
+    reference insertion's columns, which it transposes one band of
+    equal-length rows at a time."""
 
     @staticmethod
     def check(galleries):
@@ -169,7 +181,7 @@ class TestMatchesTransposingInsert:
         for g in galleries:
             expected = transposing_insert(word(g), g.rank).columns
             assert normal_form(g).columns == expected
-            assert rsk_insert(word(g), g.rank).columns == expected
+            assert insert(word(g), g.rank).columns == expected
             count += 1
         return count
 
