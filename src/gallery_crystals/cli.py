@@ -36,9 +36,9 @@ import os
 import random
 import re
 import sys
-from collections import Counter, namedtuple
+from collections import namedtuple
 from itertools import product
-from math import comb, factorial, prod
+from math import comb
 from types import SimpleNamespace
 
 from . import emit
@@ -65,7 +65,6 @@ from .graphs import (
     count_galleries,
     decompose,
     highest_weight_crystal,
-    highest_weight_vertex,
     weyl_dimension,
 )
 from .mv import MVLabel, fiber, image_weights, mv_label
@@ -79,9 +78,9 @@ from .plactic import _insert, equivalent, normal_form
 SIZE_LIMIT = 10_000
 # The most cells (vertices times boxes per vertex) of one crystal graph, whose
 # cost grows with both, and the most coordinates of one lattice path (path):
-# `blambda --rank 2 --lambda 999`, 1,000 vertices of 999 boxes, takes 0.24 s
-# as a subprocess on two Xeon cores with Python 3.11.7 and writes 2 MB of
-# JSON at 31 MB peak RSS; `--lambda 2000`, limit lifted, 0.86 s and 78 MB.
+# `blambda --rank 2 --lambda 999`, 1,000 vertices of 999 boxes, takes 0.22-0.28 s
+# from fresh bytecode as a subprocess (two Xeon cores, Python 3.11.7), writing 2 MB
+# of JSON at 32 MB peak RSS; `--lambda 2000`, limit lifted, 0.76-0.92 s and 77 MB.
 CELL_LIMIT = 1_000_000
 
 # An optional minus and ASCII digits: int() alone would also take "+2",
@@ -99,7 +98,7 @@ def _check_size(count: int, what: str, limit: int = SIZE_LIMIT, bound: str = "")
 
 def _check_graph(lam: DominantWeight, boxes: int) -> None:
     # The top and its f_i^k, k <= m_i, are distinct vertices, a bound taken
-    # before the Weyl product.  Every vertex has the source's shape.
+    # before the Weyl product.  Every vertex has the gallery's shape.
     _check_size(1 + sum(lam.coeffs), "crystal vertices", bound="at least ")
     vertices = weyl_dimension(lam)
     _check_size(vertices, "crystal vertices")
@@ -174,14 +173,8 @@ def _oracle_classes(args) -> list:
 
 def _component(args) -> dict:
     gallery = _gallery(args)
-    # B(lambda)'s weights are closed under permuting coordinates, so the orbit
-    # of the gallery's weight bounds the vertices before the gallery is raised.
-    counts = weight(gallery).counts
-    orbit = factorial(len(counts)) // prod(map(factorial, Counter(counts).values()))
-    _check_size(orbit, "crystal vertices", bound="at least ")
-    source = highest_weight_vertex(gallery)
-    _check_graph(weight(source).to_dominant_weight(), sum(source.shape))
-    return emit.graph_document(connected_component(source))
+    _check_graph(mv_label(gallery).lam, sum(gallery.shape))
+    return emit.graph_document(connected_component(gallery))
 
 
 def _lambda(args) -> DominantWeight:

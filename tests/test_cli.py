@@ -17,7 +17,9 @@ from pathlib import Path
 
 import pytest
 
-from gallery_crystals import DominantWeight, affine, cli, plactic
+from gallery_crystals import (
+    DominantWeight, affine, cli, graphs, parse_gallery, weyl_dimension, word,
+)
 from gallery_crystals.affine import (
     AffineRoot,
     WallCheck,
@@ -26,7 +28,7 @@ from gallery_crystals.affine import (
     random_gallery,
 )
 from gallery_crystals.cli import run
-from _support import oracle_plactic_classes
+from _support import oracle_plactic_classes, recording_insert
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -571,8 +573,11 @@ class TestStrictNumbers:
 class TestTooLarge:
     EIGHT_DOMINOES = "2,2,2,2,2,2,2,2"  # 10^8 galleries at rank 5
     LONG_COLUMNS = "|".join([",".join(map(str, range(1, 71)))] * 300)
-    # 29,999 one-box columns at rank 141, whose weight has a huge orbit
+    # 29,999 random one-box columns at rank 141
     RANDOM_BOXES = "|".join(map(str, random.Random(1).choices(range(1, 142), k=29_999)))
+    # each letter of 1..141 twenty times, shuffled: 2,820 one-box columns whose
+    # weight has orbit 1, and a long raise to the source
+    TWENTY_EACH = "|".join(map(str, random.Random(1).sample(list(range(1, 142)) * 20, k=2820)))
 
     @pytest.mark.parametrize(
         "command, argv",
@@ -597,11 +602,13 @@ class TestTooLarge:
             ("oracle-classes", ["--rank", "2", "--max-len", "1000000000"]),
             # one power per column length, not one factor per column
             ("decompose", ["--rank", "141", "--shape", ",".join(["70"] * 20_000)]),
-            # the orbit of the weight bounds the vertices before raising
+            # one insertion gives lambda, and nothing is raised before sizing
             ("component", ["--rank", "141", RANDOM_BOXES]),
             # 1 + sum(m_i) bounds the vertices before the Weyl product
             ("blambda", ["--rank", "141", "--lambda", ",".join(["9" * 4000] + ["0"] * 139)]),
             ("blambda", ["--rank", "141", "--lambda", ",".join(["9" * 4000] * 5 + ["0"] * 135)]),
+            # weight orbit 1, so only the label's lambda sizes it before the raise
+            ("component", ["--rank", "141", TWENTY_EACH]),
         ],
     )
     def test_rejected_up_front(self, capsys, command, argv):
@@ -651,12 +658,9 @@ class TestTooLarge:
         code, out, err = invoke(capsys, *argv)
         assert code == 1 and out == "" and json.loads(err)["error"] == "too-large"
 
-    def test_component_sized_without_insertion(self, capsys, monkeypatch):
-        # `component` learns lambda from the raised source, not a normal form.
-        def refuse(letters, rank):
-            raise AssertionError("a word was inserted")
-
-        monkeypatch.setattr(plactic, "_insert", refuse)
+    def test_component_sized_before_raising(self, capsys, monkeypatch):
+        # `component` reads lambda off the gallery's label, one insertion,
+        # and raises the gallery only once the request is sized.
         digest = hashlib.sha256()
         for argv in [
             ["--rank", "3", g] + fmt
@@ -669,15 +673,29 @@ class TestTooLarge:
         assert digest.hexdigest() == (
             "acf3c9e76fb2e8839d41460ec5e9026e937a0c87ef0f484b3dc02be873174917"
         )
+
+        def refuse(gallery):
+            raise AssertionError("a gallery was raised")
+
+        monkeypatch.setattr(graphs, "_raise_to_source", refuse)
         for rank, gallery, message in [
             ("3", "|".join(["1"] * 500), "125751 crystal vertices; the limit is 10000"),
             ("2", "|".join(["2"] * 1000), "1001000 crystal cells; the limit is 1000000"),
+            ("141", self.TWENTY_EACH, f"{self._twenty_each_vertices()} crystal vertices; "
+                                      "the limit is 10000"),
         ]:
             code, out, err = invoke(capsys, "component", "--rank", rank, gallery)
             assert (code, out) == (1, "")
             assert json.loads(err) == {
                 "error": "too-large", "message": f"the request would enumerate {message}"
             }
+
+    def _twenty_each_vertices(self) -> int:
+        # |B(lambda)| with lambda, the columns of each length below 141, read
+        # off the rows of the word's insertion tableau.
+        rows = [len(row) for row in recording_insert(word(parse_gallery(self.TWENTY_EACH, 141)))[0]]
+        rows += [0] * 141
+        return weyl_dimension(DominantWeight(tuple(rows[i - 1] - rows[i] for i in range(1, 141))))
 
     def test_cell_limit(self, capsys):
         # One row of 999 boxes has 1,000 vertices: 999,000 cells fit, and

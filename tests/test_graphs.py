@@ -25,6 +25,7 @@ from gallery_crystals import (
     highest_weight_vertex,
     is_dominant,
     is_isomorphic,
+    mv_label,
     phi,
     weight,
     weyl_dimension,
@@ -147,6 +148,8 @@ class TestHighestWeightVertex:
             ))
             assert recording_uninsert(*recording_insert(word(g))) == word(g)
             assert highest_weight_vertex(g) == coplactic_source(g), g
+            # the label's lambda is the source's weight, so sizing needs no raise
+            assert mv_label(g).lam == weight(highest_weight_vertex(g)).to_dominant_weight(), g
 
     def test_unique_source_per_component(self):
         comp = connected_component(G("2|3|1", 3))
